@@ -34,6 +34,7 @@ from repro.obs.stages import merge_stage_dicts
 from repro.obs.tracer import NULL_TRACER, PhaseProfiler, Tracer
 from repro.provenance import NULL_LEDGER, ProvenanceLedger
 from repro.solver.engine import SolverConfig, SolverEngine, Status
+from repro.solverc.compiler import ConstraintCompiler, SolvercStats
 
 
 @dataclass
@@ -131,6 +132,7 @@ class SldvGenerator:
             self.tracer = NULL_TRACER
         self._rng = random.Random(self.config.seed)
         self._engine = SolverEngine(self.config.solver)
+        self._compiler = ConstraintCompiler()
         self.collector = CoverageCollector(compiled.registry)
         self.ledger = (
             ProvenanceLedger(compiled.registry, "SLDV")
@@ -187,8 +189,14 @@ class SldvGenerator:
                     continue
                 self.stats["solver_calls"] += 1
                 with tracer.span("solve", target=branch.label):
+                    # Each (branch, depth) constraint is solved exactly
+                    # once, so a compiled contractor would never pay off.
+                    bundle = self._compiler.compile(
+                        constraint, unroll.variables, contractor=False
+                    )
                     result = self._engine.solve(
-                        constraint, unroll.variables, self._rng
+                        constraint, unroll.variables, self._rng,
+                        compiled=bundle,
                     )
                 self.stats[result.status.value] += 1
                 if ledger.enabled:
@@ -261,6 +269,13 @@ class SldvGenerator:
             "tree_growth": [],
             "solver_targets": summary["targets"],
             "counters": dict(summary["counters"]),
+            "solverc": {
+                "enabled": True,
+                **SolvercStats()
+                .merge(self._engine.solverc)
+                .merge(self._compiler.stats)
+                .as_dict(),
+            },
         }
 
 

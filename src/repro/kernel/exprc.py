@@ -1,6 +1,6 @@
-"""Compile expression ASTs to Python closures for the concrete fast path.
+"""Compile expression DAGs to Python closures.
 
-:func:`compile_expr` turns an :class:`~repro.expr.ast.Expr` tree into a
+:func:`compile_expr` turns an :class:`~repro.expr.ast.Expr` DAG into a
 ``fn(env) -> value`` closure observably equivalent to
 :func:`repro.expr.evaluator.evaluate` under every environment:
 
@@ -9,21 +9,28 @@
 * the same per-node result coercion (``coerce_value`` through the node's
   ``ty``, specialized to ``bool``/``int``/``float`` for scalar types),
 * the same errors with the same messages (``EvalError`` for unbound
-  variables and out-of-range array indices).
+  variables and out-of-range array indices),
+* the same per-call sharing: every node with more than one parent edge
+  gets a memo slot, filled on its first *successful* evaluation and
+  emptied when the next top-level call starts, so a shared sub-DAG is
+  computed at most once per call.  A node that raises stores nothing and
+  raises again on its next use, as under the evaluator, which never
+  memoizes an exception.  No value survives into the next call.
 
-What is dropped is the evaluator's per-call memoization of shared
-sub-DAGs.  Expressions are pure, so re-evaluating a shared subtree can only
-change cost, never the value; chart guards and actions — the only
-expressions the kernel compiles — are small parsed trees without sharing.
-Any node type this compiler does not recognize compiles to a closure that
-defers the whole subtree to the interpreter, keeping equivalence trivial.
+Trees without sharing — chart guards and actions — compile to plain
+closures with no memo.  :class:`ExprCompiler` is the node-level compiler;
+:mod:`repro.solverc.distc` drives it to compile a branch-distance
+objective and all of its atom operands against one memo.  A closure with
+a memo serves one call at a time (it is not reentrant).  Any node type
+this compiler does not recognize compiles to a closure that defers the
+whole subtree to the interpreter, keeping equivalence trivial.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Mapping
+from typing import Callable, Dict, List, Mapping, Set, Tuple
 
 from repro.errors import EvalError
 from repro.expr import ast, semantics
@@ -32,6 +39,9 @@ from repro.expr.evaluator import evaluate
 from repro.expr.types import Type, coerce_value
 
 CompiledExpr = Callable[[Mapping[str, object]], object]
+
+#: Marks an empty memo slot.
+_UNSET = object()
 
 _UNARY = {
     ast.NEG: operator.neg,
@@ -79,8 +89,93 @@ def _interpreted(expr: Expr) -> CompiledExpr:
     return lambda env: evaluate(expr, env)
 
 
+def _shared_nodes(root: Expr) -> Set[int]:
+    """Ids of the nodes under ``root`` that have more than one parent edge."""
+    parents: Dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            key = id(child)
+            count = parents.get(key, 0)
+            parents[key] = count + 1
+            if not count:
+                stack.append(child)
+    return {key for key, count in parents.items() if count > 1}
+
+
+class ExprCompiler:
+    """Compiles the nodes of one expression DAG against one per-call memo.
+
+    Build closures with :meth:`value` (or :meth:`memoized` for other
+    closure kinds over the same nodes), then wrap the root closure once
+    with :meth:`entry`.
+    """
+
+    def __init__(self, root: Expr):
+        self._shared = _shared_nodes(root)
+        self._closures: Dict[Tuple[int, str], Callable] = {}
+        self._memo: List[object] = []
+
+    def value(self, expr: Expr) -> CompiledExpr:
+        """Closure equivalent to ``evaluate(expr, env)`` within a call."""
+        # Unshared nodes skip ``memoized``: one stack frame less per DAG
+        # level keeps compile recursion as shallow as the evaluator's.
+        if id(expr) not in self._shared:
+            return _compile_node(self, expr)
+        return self.memoized(expr, "value", _compile_node)
+
+    def memoized(self, node: Expr, kind: str, build) -> Callable:
+        """``build(self, node)``, behind a memo slot when ``node`` is shared.
+
+        ``kind`` keeps the different closures of one node apart: a
+        relational atom has both a value and a branch distance.  A shared
+        node is compiled once per kind; constants are never memoized.
+        """
+        if id(node) not in self._shared or isinstance(node, Const):
+            return build(self, node)
+        key = (id(node), kind)
+        fn = self._closures.get(key)
+        if fn is None:
+            fn = self._closures[key] = self._slot(build(self, node))
+        return fn
+
+    def _slot(self, compute: Callable) -> Callable:
+        memo = self._memo
+        slot = len(memo)
+        memo.append(_UNSET)
+
+        def memoized(env):
+            value = memo[slot]
+            if value is _UNSET:
+                # Assigned only once ``compute`` returns: errors are
+                # never memoized.
+                value = memo[slot] = compute(env)
+            return value
+
+        return memoized
+
+    def entry(self, fn: Callable) -> Callable:
+        """Wrap the root closure so that every call starts on an empty memo."""
+        memo = self._memo
+        if not memo:
+            return fn
+        blank = [_UNSET] * len(memo)
+
+        def entry(env):
+            memo[:] = blank
+            return fn(env)
+
+        return entry
+
+
 def compile_expr(expr: Expr) -> CompiledExpr:
     """Compile ``expr`` into a closure equivalent to ``evaluate(expr, env)``."""
+    compiler = ExprCompiler(expr)
+    return compiler.entry(compiler.value(expr))
+
+
+def _compile_node(compiler: ExprCompiler, expr: Expr) -> CompiledExpr:
     if isinstance(expr, Const):
         value = expr.value
         return lambda env: value
@@ -100,33 +195,33 @@ def compile_expr(expr: Expr) -> CompiledExpr:
         fn = _UNARY.get(expr.op)
         if fn is None:
             return _interpreted(expr)
-        arg = compile_expr(expr.arg)
+        arg = compiler.value(expr.arg)
         conv = _converter(expr.ty)
         return lambda env: conv(fn(arg(env)))
     if isinstance(expr, Binary):
         op = expr.op
-        left = compile_expr(expr.left)
-        right = compile_expr(expr.right)
+        fn = _BINARY.get(op)
+        if fn is None and op not in (ast.AND, ast.OR, ast.IMPLIES):
+            return _interpreted(expr)
+        left = compiler.value(expr.left)
+        right = compiler.value(expr.right)
         if op == ast.AND:
             return lambda env: bool(right(env)) if left(env) else False
         if op == ast.OR:
             return lambda env: True if left(env) else bool(right(env))
         if op == ast.IMPLIES:
             return lambda env: bool(right(env)) if left(env) else True
-        fn = _BINARY.get(op)
-        if fn is None:
-            return _interpreted(expr)
         conv = _converter(expr.ty)
         return lambda env: conv(fn(left(env), right(env)))
     if isinstance(expr, Ite):
-        cond = compile_expr(expr.cond)
-        then = compile_expr(expr.then)
-        orelse = compile_expr(expr.orelse)
+        cond = compiler.value(expr.cond)
+        then = compiler.value(expr.then)
+        orelse = compiler.value(expr.orelse)
         conv = _converter(expr.ty)
         return lambda env: conv(then(env)) if cond(env) else conv(orelse(env))
     if isinstance(expr, Select):
-        array_fn = compile_expr(expr.array)
-        index_fn = compile_expr(expr.index)
+        array_fn = compiler.value(expr.array)
+        index_fn = compiler.value(expr.index)
 
         def select_fn(env):
             array = array_fn(env)
@@ -139,9 +234,9 @@ def compile_expr(expr: Expr) -> CompiledExpr:
 
         return select_fn
     if isinstance(expr, Store):
-        array_fn = compile_expr(expr.array)
-        index_fn = compile_expr(expr.index)
-        value_fn = compile_expr(expr.value)
+        array_fn = compiler.value(expr.array)
+        index_fn = compiler.value(expr.index)
+        value_fn = compiler.value(expr.value)
 
         def store_fn(env):
             array = list(array_fn(env))

@@ -304,8 +304,8 @@ def _section_solverc(events) -> List[str]:
     lines = ["solver kernel", "-------------"]
     solverc_events = _of_kind(events, "solverc_stats")
     if not solverc_events:
-        lines += ["  (no events of kind solverc_stats — STCG cells only, "
-                  "with --trace)", ""]
+        lines += ["  (no events of kind solverc_stats — STCG and SLDV "
+                  "cells only, with --trace)", ""]
         return lines
     lines.append(
         f"  {'cell':<28s} {'state':>8s} {'compiled':>8s} "
@@ -330,8 +330,7 @@ def _section_solverc(events) -> List[str]:
         )
         fallbacks = {
             name: int(event.get(name, 0))
-            for name in ("contract_compile_fallbacks", "batch_fallbacks",
-                         "scalar_fallbacks")
+            for name in ("compile_fallbacks", "batch_fallbacks")
             if int(event.get(name, 0))
         }
         if fallbacks:

@@ -161,17 +161,16 @@ class SolverEngine:
             return finish(Status.UNSAT, stage="contract")
         mark("contract")
 
-        scalar = None
         batch = None
         if compiled is not None:
             nnf = compiled.nnf()
-            scalar = compiled.objective()
             batch = compiled.batch()
+            # The scalar objective is fetched where a stage first needs
+            # it (``objective or _scalar_objective(compiled)``), so a
+            # solve that ends in batch sampling never compiles it.
+            objective = None
         else:
             nnf = to_nnf(constraint)
-        if scalar is not None:
-            objective = scalar
-        else:
             objective = DistanceEvaluator(nnf).distance
 
         # Stage 2: deterministic corners then random samples inside the box.
@@ -194,6 +193,7 @@ class SolverEngine:
         else:
             if compiled is not None:
                 self.solverc.note("candidates_scalar", len(corners))
+            objective = objective or _scalar_objective(compiled)
             for candidate in corners:
                 stats.samples += 1
                 d = objective(candidate)
@@ -238,6 +238,7 @@ class SolverEngine:
                 self.solverc.note(
                     "candidates_scalar", self.config.max_samples
                 )
+            objective = objective or _scalar_objective(compiled)
             for _ in range(self.config.max_samples):
                 if out_of_time():
                     return finish(Status.UNKNOWN, stage="sample-timeout")
@@ -324,6 +325,7 @@ class SolverEngine:
                         )
                         self.solverc.note("candidates_batched", per_case)
                     else:
+                        objective = objective or _scalar_objective(compiled)
                         for candidate in chunk:
                             whole = objective(candidate)
                             if whole < best_dist:
@@ -332,6 +334,7 @@ class SolverEngine:
                     if entry is not None:
                         self.solverc.note("case_interpreted")
                     case_distance = DistanceEvaluator(to_nnf(case))
+                    objective = objective or _scalar_objective(compiled)
                     for candidate in corner_points(case_box):
                         stats.samples += 1
                         if case_distance.distance(candidate) == 0.0:
@@ -358,10 +361,9 @@ class SolverEngine:
             mark("split")
 
         # Stage 4: AVM from the best point seen so far.
-        if compiled is not None:
-            self.solverc.note(
-                "avm_compiled" if scalar is not None else "avm_interpreted"
-            )
+        objective = objective or _scalar_objective(compiled)
+        if compiled is not None and compiled.objective() is not None:
+            self.solverc.note("avm_compiled")
         search = AvmSearch(
             objective,
             box,
@@ -434,6 +436,14 @@ class SolverEngine:
                 "internal error: zero-distance candidate failed verification"
             )
         return model
+
+
+def _scalar_objective(compiled: CompiledConstraint):
+    """The bundle's compiled objective, or the interpreter when it has none."""
+    scalar = compiled.objective()
+    if scalar is None:
+        return DistanceEvaluator(compiled.nnf()).distance
+    return scalar
 
 
 def _first_zero(dists: np.ndarray) -> Optional[int]:

@@ -31,7 +31,6 @@ from repro.solverc.distc import (
     BatchDistance,
     compile_distance_batch,
     compile_distance_scalar,
-    worth_compiling_scalar,
 )
 from repro.solverc.tape import NotLowerable
 
@@ -50,10 +49,9 @@ class SolvercStats:
 
     KEYS = (
         "constraints_compiled",
-        "contract_compile_fallbacks",
+        "compile_fallbacks",
         "batch_lowered",
         "batch_fallbacks",
-        "scalar_fallbacks",
         "contract_compiled",
         "contract_cached",
         "contract_interpreted",
@@ -62,7 +60,6 @@ class SolvercStats:
         "case_batched",
         "case_interpreted",
         "avm_compiled",
-        "avm_interpreted",
     )
 
     __slots__ = ("counts",)
@@ -106,7 +103,7 @@ class CompiledCase:
             )
         except Exception:
             self.contractor = None
-            stats.note("contract_compile_fallbacks")
+            stats.note("compile_fallbacks")
 
     def batch(self) -> Optional[BatchDistance]:
         """The case-distance batch tape, or None when not lowerable."""
@@ -165,19 +162,19 @@ class CompiledConstraint:
     def objective(self):
         """Compiled scalar ``env -> distance`` closure, or None.
 
-        None both on compile failure and when the constraint is a
-        heavily shared DAG — closures re-expand shared subtrees per
-        call, so there the memoizing interpreter is the fast path.
+        The closure carries a per-call memo over the constraint's shared
+        nodes, so a shared DAG costs what it costs the memoizing
+        interpreter, once per node.  None only when compilation itself
+        fails (counted under ``compile_fallbacks``); the engine then
+        scores with the interpreter.  Compiled on first use, so a solve
+        that ends in batch sampling never builds it.
         """
         if self._objective is _UNSET:
             try:
-                if worth_compiling_scalar(self.nnf()):
-                    self._objective = compile_distance_scalar(self.nnf())
-                else:
-                    self._objective = None
-                    self._stats.note("scalar_fallbacks")
+                self._objective = compile_distance_scalar(self.nnf())
             except Exception:
                 self._objective = None
+                self._stats.note("compile_fallbacks")
         return self._objective
 
     def batch(self) -> Optional[BatchDistance]:
@@ -230,7 +227,7 @@ class ConstraintCompiler:
             try:
                 compiled_contractor = compile_contractor(constraint)
             except Exception:
-                self.stats.note("contract_compile_fallbacks")
+                self.stats.note("compile_fallbacks")
         self.stats.note("constraints_compiled")
         return CompiledConstraint(
             constraint, var_list, compiled_contractor, self.stats

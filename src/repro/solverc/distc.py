@@ -4,8 +4,10 @@ Two compiled forms of :class:`~repro.expr.distance.DistanceEvaluator`,
 both observably exact against the interpreter:
 
 * :func:`compile_distance_scalar` — one closure per NNF node, with atom
-  operands evaluated through :func:`repro.kernel.exprc.compile_expr`
-  (which is itself pinned observably equivalent to ``evaluate``).  Same
+  operands compiled by :class:`repro.kernel.exprc.ExprCompiler` (pinned
+  observably equivalent to ``evaluate``) against the same per-call memo
+  as the distance nodes, so every node shared within or across atoms is
+  computed once per call, as under the interpreter's memo.  Same
   Python-float arithmetic, same ``try/except Exception`` failure
   behaviour, so the AVM search sees bit-identical objective values.
 * :func:`compile_distance_batch` — the atoms are lowered onto a shared
@@ -37,78 +39,57 @@ __all__ = [
     "BatchDistance",
     "compile_distance_batch",
     "compile_distance_scalar",
-    "worth_compiling_scalar",
 ]
 
 
 # -- scalar ----------------------------------------------------------------
 
 
-def worth_compiling_scalar(nnf: Expr) -> bool:
-    """Whether scalar closures would beat the interpreter on ``nnf``.
-
-    ``compile_expr`` closures drop the evaluator's per-call memoization
-    of shared sub-DAGs, so on a heavily shared constraint they re-do
-    each occurrence of a shared subtree while ``DistanceEvaluator``
-    computes it once per call.  Compare the tree expansion (capped)
-    against the number of unique DAG nodes and refuse to compile when
-    sharing would make the closure slower than the interpreter.
-    """
-    unique = set()
-    stack = [nnf]
-    while stack:
-        node = stack.pop()
-        if id(node) in unique:
-            continue
-        unique.add(id(node))
-        stack.extend(node.children)
-    # Closures run a node roughly 3x faster than the memoizing
-    # interpreter, so they stay ahead until sharing re-expands the tree
-    # past about that factor.
-    cap = 3 * len(unique) + 64
-    count = 0
-    stack = [nnf]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if count > cap:
-            return False
-        stack.extend(node.children)
-    return True
-
-
-def _compile_expr(expr):
+def _expr_compiler(root: Expr):
     # Deferred: repro.kernel's package import reaches the simulator,
     # which imports repro.solver — importing exprc at module scope would
     # close that loop before repro.solver finishes initializing.
-    from repro.kernel.exprc import compile_expr
+    from repro.kernel.exprc import ExprCompiler
 
-    return compile_expr(expr)
+    return ExprCompiler(root)
 
 
 def compile_distance_scalar(nnf: Expr) -> Callable[[Mapping], float]:
-    """Compile an NNF constraint into an ``env -> distance`` closure."""
+    """Compile an NNF constraint into an ``env -> distance`` closure.
+
+    Distance nodes and atom operands share one per-call memo, so a
+    sub-DAG shared within or across atoms is computed once per call.
+    """
+    compiler = _expr_compiler(nnf)
+    return compiler.entry(_distance(compiler, nnf))
+
+
+def _distance(compiler, nnf: Expr) -> Callable[[Mapping], float]:
+    return compiler.memoized(nnf, "distance", _compile_distance_node)
+
+
+def _compile_distance_node(compiler, nnf: Expr) -> Callable[[Mapping], float]:
     if isinstance(nnf, Const):
         value = 0.0 if nnf.value else FAILURE_DISTANCE
         return lambda env: value
     if isinstance(nnf, Binary):
         if nnf.op == ast.AND:
-            left = compile_distance_scalar(nnf.left)
-            right = compile_distance_scalar(nnf.right)
+            left = _distance(compiler, nnf.left)
+            right = _distance(compiler, nnf.right)
             return lambda env: left(env) + right(env)
         if nnf.op == ast.OR:
-            left = compile_distance_scalar(nnf.left)
-            right = compile_distance_scalar(nnf.right)
+            left = _distance(compiler, nnf.left)
+            right = _distance(compiler, nnf.right)
             return lambda env: min(left(env), right(env))
         if nnf.op in ast.REL_OPS:
-            return _compile_atom_scalar(nnf)
-    return _compile_opaque_scalar(nnf)
+            return _compile_atom_scalar(compiler, nnf)
+    return _compile_opaque_scalar(compiler, nnf)
 
 
-def _compile_atom_scalar(atom: Binary) -> Callable[[Mapping], float]:
-    left = _compile_expr(atom.left)
-    right = _compile_expr(atom.right)
-    # compile_expr coerces every result through the node's static type,
+def _compile_atom_scalar(compiler, atom: Binary) -> Callable[[Mapping], float]:
+    left = compiler.value(atom.left)
+    right = compiler.value(atom.right)
+    # Compiled nodes coerce every result through the node's static type,
     # so "is a bool involved" is decidable here rather than per call.
     coerce_bool = atom.left.ty is BOOL or atom.right.ty is BOOL
     metric = _SCALAR_METRICS[atom.op]
@@ -129,8 +110,8 @@ def _compile_atom_scalar(atom: Binary) -> Callable[[Mapping], float]:
     return distance
 
 
-def _compile_opaque_scalar(expr: Expr) -> Callable[[Mapping], float]:
-    compiled = _compile_expr(expr)
+def _compile_opaque_scalar(compiler, expr: Expr) -> Callable[[Mapping], float]:
+    compiled = compiler.value(expr)
 
     def distance(env: Mapping) -> float:
         try:
