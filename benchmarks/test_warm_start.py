@@ -136,10 +136,6 @@ def test_warm_start_tcp_cell(tmp_path):
             solver=SolverConfig(
                 max_samples=48, avm_evaluations=700, time_budget_s=60.0
             ),
-            # The lite backoff engine clamps its own wall budget to
-            # 30ms regardless of the override above — keep it out of
-            # the deterministic pin entirely.
-            failure_backoff_after=10**9,
         )
         generator = StcgGenerator(compiled, config, clock=counting_clock())
         return generator.run(), generator.stats

@@ -4,9 +4,10 @@ One :class:`SolveCache` serves one model (its ``model_key``) and bundles
 the two memoizations Algorithm 1 profits from:
 
 * the **encoding cache** — a bounded LRU from state fingerprint to
-  :class:`~repro.solver.encoder.OneStepEncoding`.  Building an encoding is
-  a full symbolic execution of the model; revisiting a tree node whose
-  state was already encoded is a dictionary lookup instead.
+  :class:`~repro.solver.encoder.OneStepEncoding`.  An encoding executes
+  the model symbolically on demand, one queried decision's cone at a
+  time, and keeps what it executed; revisiting a tree node whose state
+  was already encoded reuses all of that instead of starting over.
 * the **verdict cache** — (state fingerprint, solve target) pairs the
   solver *refuted deterministically*.  A later attempt on the same pair
   (typically a fresh generator re-solving the same cell, or a new tree
@@ -124,6 +125,12 @@ class SolveCache:
             encoding = factory()
             self.encodings.put(fingerprint, encoding)
         return encoding
+
+    @property
+    def encoding_entries(self) -> int:
+        """Conditions and atoms recorded across the cached encodings — it
+        grows whenever a query extends an encoding, restored or not."""
+        return sum(e.recorded_entries for _, e in self.encodings.items())
 
     # -- compiled constraints ------------------------------------------
 

@@ -123,7 +123,7 @@ class StcgGenerator:
         lite = SolverConfig(
             max_samples=12,
             avm_evaluations=80,
-            time_budget_s=min(0.03, self.config.solver.time_budget_s),
+            time_budget_s=self.config.solver.time_budget_s,
             seed=self.config.seed,
         )
         self._lite_engine = SolverEngine(lite)
@@ -746,34 +746,40 @@ class StcgGenerator:
             self.stats["restored_encodings"] += counts["encodings"]
         self.stats["store_hits"] += 1
         tree_payload = payload.get("tree")
-        self._store_snapshot = (
-            self.cache.verdict_entries,
-            len(self.cache.encodings),
-            len(self.cache.compiled),
+        self._store_snapshot = self._derived_sizes(
             len(tree_payload["nodes"])
             if isinstance(tree_payload, dict)
             and isinstance(tree_payload.get("nodes"), list)
-            else -1,
+            else -1
         )
         return payload
+
+    def _derived_sizes(self, tree_size: int) -> tuple:
+        """The skip-save fingerprint: sizes of every persisted fold."""
+        return (
+            self.cache.verdict_entries,
+            len(self.cache.encodings),
+            self.cache.encoding_entries,
+            len(self.cache.compiled),
+            tree_size,
+        )
 
     def _store_save(self, extra: Optional[Dict[str, object]] = None) -> None:
         """Persist this run's derived state; best-effort, never raises.
 
         A warm run that learned nothing — same verdict/encoding/compiled
-        counts and tree size as right after the restore, which a
-        bit-identical equal-budget rerun always hits — skips the write:
-        the stored document is already the fixed point, and skipping
-        keeps the warm path's end-to-end cost at load + solve.  Runs
-        with ``extra`` payloads (the fuzz corpus) always write.
+        counts, recorded encoding entries and tree size as right after
+        the restore, which a bit-identical equal-budget rerun always
+        hits — skips the write: the stored document is already the
+        fixed point, and skipping keeps the warm path's end-to-end cost
+        at load + solve.  A run that only extended restored encodings
+        still writes them back.  Runs with ``extra`` payloads (the fuzz
+        corpus) always write.
         """
         if self.store is None or not self.config.store.write:
             return
-        if extra is None and self._store_snapshot == (
-            self.cache.verdict_entries,
-            len(self.cache.encodings),
-            len(self.cache.compiled),
-            len(self.tree),
+        if extra is None and self._store_snapshot == self._derived_sizes(
+            len(self.tree)
         ):
             return
         try:

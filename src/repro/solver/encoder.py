@@ -6,7 +6,13 @@ Two encoders share the symbolic execution machinery:
   symbolic variables, the state snapshot enters as *constants*.  Branch
   conditions therefore collapse wherever they depend on state (a transition
   whose source state is inactive folds to ``false`` immediately), which is
-  the paper's central argument for solving one iteration at a time.
+  the paper's central argument for solving one iteration at a time.  The
+  encoding is *demand-driven*: construction only binds the symbolic
+  context, and a query executes, once, just the static cone of the plan
+  item that records the requested decision or condition point
+  (:attr:`~repro.model.graph.CompiledModel.cones`).  Most (state, target)
+  pairs STCG visits fold to ``false`` after a few items, so the bulk of
+  the model is never executed for them.
 * :class:`UnrolledEncoding` — the SLDV-like bounded encoding: ``k`` steps
   are chained symbolically from the initial state, with per-step input
   variables and state expressions threaded between steps.  Constraint size
@@ -17,45 +23,117 @@ Two encoders share the symbolic execution machinery:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SolverError
 from repro.coverage.registry import Branch
 from repro.expr import ops as x
 from repro.expr.ast import Expr, FALSE, TRUE, Var
 from repro.model.context import symbolic_context
-from repro.model.executor import execute_step
+from repro.model.executor import execute_step, run_item
 from repro.model.graph import CompiledModel
 from repro.model.state import ModelState
 
 
 class OneStepEncoding:
-    """Symbolic execution of one iteration from a concrete state."""
+    """Symbolic execution of one iteration from a concrete state, run on
+    demand.
 
-    def __init__(self, compiled: CompiledModel, state: ModelState):
+    Invariants: each plan item runs at most once per encoding; a recorded
+    outcome condition or condition atom is never replaced (entries passed
+    in — a restored warm-store encoding — are authoritative); a query runs
+    the missing items of a dependency-closed cone in plan order, and a data
+    store's writers and ``read_current`` readers share one cone, so every
+    item sees exactly the inputs, activation and store writes it sees in a
+    full step.  Answers are therefore structurally equal to those of a
+    full symbolic step (:meth:`complete`) whatever the query order.
+    """
+
+    def __init__(
+        self,
+        compiled: CompiledModel,
+        state: ModelState,
+        outcome_conditions: Optional[Dict[int, List[Expr]]] = None,
+        condition_atoms: Optional[Dict[int, Tuple[List[Expr], Expr]]] = None,
+    ):
         self.compiled = compiled
         self.state = state
         self.variables: List[Var] = compiled.input_variables()
-        inputs: Dict[str, object] = {v.name: v for v in self.variables}
-        # ``ModelState.values`` already hands out a fresh dict; execution
-        # only reads it (writes land in ``ctx.next_state``), so one copy
-        # serves both as the execution environment and as the base of the
-        # next-state map.  The snapshot itself is never aliased or mutated.
-        env: Dict[str, object] = state.values
-        ctx = symbolic_context(inputs, env)
-        self.outputs = execute_step(compiled, ctx)
-        self._outcome_conditions = ctx.outcome_conditions
-        self._condition_atoms = ctx.condition_atoms
-        self._next_state = env
-        self._next_state.update(ctx.next_state)
+        #: decision id -> outcome conditions recorded so far.
+        self._outcome_conditions: Dict[int, List[Expr]] = (
+            {} if outcome_conditions is None else outcome_conditions
+        )
+        #: point id -> (atoms, evaluation context) recorded so far.
+        self._condition_atoms: Dict[int, Tuple[List[Expr], Expr]] = (
+            {} if condition_atoms is None else condition_atoms
+        )
+        # ``ModelState.values`` hands out a fresh dict that execution only
+        # reads (writes land in ``ctx.next_state``); the snapshot itself
+        # is never aliased or mutated.
+        self._ctx = symbolic_context(
+            {v.name: v for v in self.variables}, state.values
+        )
+        n_items = len(compiled.plan)
+        self._outputs: List[Optional[List[object]]] = [None] * n_items
+        self._actives: List[object] = [True] * n_items
+        #: Bitmask of the plan items already run (bit i = item i).
+        self._ran = 0
+
+    @property
+    def recorded_entries(self) -> int:
+        """Outcome-condition plus condition-atom entries recorded so far."""
+        return len(self._outcome_conditions) + len(self._condition_atoms)
+
+    def complete(self) -> "OneStepEncoding":
+        """Run every item not yet run: the encoding of a full step."""
+        self._run_cone((1 << len(self.compiled.plan)) - 1)
+        return self
+
+    def _run_cone(self, cone: int) -> None:
+        """Run the not-yet-run items of ``cone`` in plan order, keeping the
+        conditions and atoms they record (first record wins)."""
+        missing = cone & ~self._ran
+        if not missing:
+            return
+        compiled = self.compiled
+        plan = compiled.plan
+        ctx = self._ctx
+        owned = compiled.owned_records
+        while missing:
+            lowest = missing & -missing
+            index = lowest.bit_length() - 1
+            missing ^= lowest
+            self._ran |= lowest
+            run_item(compiled, plan[index], ctx, self._outputs, self._actives)
+            decisions, points = owned[index]
+            for decision_id in decisions:
+                conditions = ctx.outcome_conditions.get(decision_id)
+                if conditions is not None:
+                    self._outcome_conditions.setdefault(decision_id, conditions)
+            for point_id in points:
+                recorded = ctx.condition_atoms.get(point_id)
+                if recorded is not None:
+                    self._condition_atoms.setdefault(point_id, recorded)
+
+    def _run_owner(self, owners, record_id: int) -> None:
+        """Run the cone of the item recording decision/point ``record_id``
+        (per ``owners``); ids no item records have nothing to run."""
+        if 0 <= record_id < len(owners):
+            owner = owners[record_id]
+            if not self._ran >> owner & 1:
+                self._run_cone(self.compiled.cones[owner])
 
     def branch_condition(self, branch: Branch) -> Expr:
         """The branch's local condition C under this state."""
-        conditions = self._outcome_conditions.get(branch.decision.decision_id)
+        decision_id = branch.decision.decision_id
+        conditions = self._outcome_conditions.get(decision_id)
         if conditions is None:
-            raise SolverError(
-                f"decision {branch.decision.path!r} recorded no conditions"
-            )
+            self._run_owner(self.compiled.decision_owner, decision_id)
+            conditions = self._outcome_conditions.get(decision_id)
+            if conditions is None:
+                raise SolverError(
+                    f"decision {branch.decision.path!r} recorded no conditions"
+                )
         return conditions[branch.outcome]
 
     def path_constraint(self, branch: Branch) -> Expr:
@@ -68,7 +146,10 @@ class OneStepEncoding:
 
     def next_state_expressions(self) -> Dict[str, object]:
         """Symbolic next state (constants where untouched)."""
-        return dict(self._next_state)
+        self.complete()
+        next_state = dict(self._ctx.state_env)
+        next_state.update(self._ctx.next_state)
+        return next_state
 
     def obligation_constraint(self, obligation) -> Expr:
         """Constraint whose solution satisfies a condition obligation.
@@ -79,13 +160,17 @@ class OneStepEncoding:
         outcome — the boolean derivative of the point's structure, with the
         other atoms substituted symbolically, must be true.
         """
-        recorded = self._condition_atoms.get(obligation.point_id)
+        point_id = obligation.point_id
+        recorded = self._condition_atoms.get(point_id)
+        if recorded is None:
+            self._run_owner(self.compiled.point_owner, point_id)
+            recorded = self._condition_atoms.get(point_id)
         if recorded is None:
             # The point is unreachable from this state (e.g. a transition
             # guard whose source state is inactive).
             return x.FALSE
         atoms, context = recorded
-        point = self.compiled.registry.condition_point(obligation.point_id)
+        point = self.compiled.registry.condition_point(point_id)
         atom = atoms[obligation.atom]
         polarity = atom if obligation.polarity else x.lnot(atom)
         constraint = x.land(context, polarity)

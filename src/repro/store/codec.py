@@ -399,14 +399,14 @@ def decode_target_key(obj) -> Tuple[str, object]:
 def encode_encoding(encoding, table: ExprTable) -> Dict[str, object]:
     """Serialize the STCG-visible face of a one-step encoding.
 
-    The generator consumes exactly four things from an encoding after
-    construction: ``variables`` (rebuilt from the compiled model on
-    decode), ``compiled`` (re-attached on decode), the per-decision
-    outcome conditions, and the per-point condition atoms.  The
-    ``outputs``/next-state expressions exist only as construction
-    byproducts, so they are deliberately not persisted — a decoded
-    encoding answers ``branch_condition``/``path_constraint``/
-    ``obligation_constraint`` identically to the cold-built original.
+    The generator consumes exactly four things from an encoding:
+    ``variables`` (rebuilt from the compiled model on decode),
+    ``compiled`` (re-attached on decode), the per-decision outcome
+    conditions, and the per-point condition atoms.  Encodings are
+    demand-driven, so only the conditions and atoms computed so far are
+    persisted; the decoded encoding computes any missing one on first
+    query, exactly as the original would have.  The symbolic next state
+    is never persisted.
 
     Every expression goes through the shared ``table`` (encodings of
     neighbouring states share most of their subtrees), so the payload
@@ -433,11 +433,13 @@ def decode_encoding(payload, compiled, exprs: List[Expr]):
 
     ``exprs`` is the decoded expression table
     (:func:`decode_expr_table`) the payload's node references index
-    into.  The restored object is observationally identical to a cold
-    build for every method the generator calls: conditions/atoms are
-    structurally equal ASTs, ``variables`` comes from the same
-    ``compiled.input_variables()`` call, and ``compiled`` is the live
-    model (so ``obligation_constraint`` resolves registry points).
+    into.  The result is a demand-driven encoding over the stored state
+    whose restored conditions and atoms are authoritative: they are
+    structurally equal to what a cold build records, and a query for a
+    missing one executes that entry's cone from the stored state.  An
+    absent condition point therefore no longer means "unreachable" by
+    itself — only after its owner item has run (which is why
+    :data:`~repro.store.store.STORE_SCHEMA` moved to ``repro.store/2``).
     """
     from repro.model.state import ModelState
     from repro.solver.encoder import OneStepEncoding
@@ -452,23 +454,20 @@ def decode_encoding(payload, compiled, exprs: List[Expr]):
         return exprs[index]
 
     try:
-        encoding = OneStepEncoding.__new__(OneStepEncoding)
-        encoding.compiled = compiled
-        encoding.state = ModelState(decode_values(payload["state"]))
-        encoding.variables = compiled.input_variables()
-        encoding.outputs = {}
-        encoding._outcome_conditions = {
-            int(decision_id): [expr(cond) for cond in conditions]
-            for decision_id, conditions in payload["outcomes"].items()
-        }
-        encoding._condition_atoms = {
-            int(point_id): (
-                [expr(atom) for atom in pair[0]],
-                expr(pair[1]),
-            )
-            for point_id, pair in payload["atoms"].items()
-        }
-        encoding._next_state = {}
+        return OneStepEncoding(
+            compiled,
+            ModelState(decode_values(payload["state"])),
+            outcome_conditions={
+                int(decision_id): [expr(cond) for cond in conditions]
+                for decision_id, conditions in payload["outcomes"].items()
+            },
+            condition_atoms={
+                int(point_id): (
+                    [expr(atom) for atom in pair[0]],
+                    expr(pair[1]),
+                )
+                for point_id, pair in payload["atoms"].items()
+            },
+        )
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise CodecError(f"malformed encoding payload: {err}") from err
-    return encoding

@@ -39,7 +39,7 @@ from repro.store.codec import encode_expr, encode_type, encode_value
 __all__ = ["STORE_SCHEMA", "WarmStore", "config_digest", "model_digest"]
 
 #: Schema tag of the store document; bump to invalidate all stored state.
-STORE_SCHEMA = "repro.store/1"
+STORE_SCHEMA = "repro.store/2"
 
 
 def _sha(blob: str) -> str:
@@ -60,7 +60,9 @@ def model_digest(compiled) -> str:
     from repro.solver.encoder import OneStepEncoding
 
     registry = compiled.registry
-    encoding = OneStepEncoding(compiled, ModelState(compiled.initial_state()))
+    encoding = OneStepEncoding(
+        compiled, ModelState(compiled.initial_state())
+    ).complete()
     description = {
         "name": compiled.name,
         "n_blocks": compiled.n_blocks,

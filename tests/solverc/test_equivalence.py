@@ -11,10 +11,10 @@ Two levels, mirroring the sim-kernel suite:
   benchmark.
 
 The generation-level runs pin wall-clock out of the picture: a fake
-deterministic clock drives the generator loop, the per-call solver
-budgets are effectively unbounded, and failure backoff is disabled (the
-lite engine's real-time budget is the one remaining nondeterminism
-source, for kernel and interpreter runs alike).
+deterministic clock drives the generator loop and the per-call solver
+budget — which the lite backoff engine inherits — is effectively
+unbounded.  Failure backoff is disabled as well, so every solve runs on
+the full engine.
 """
 
 import random

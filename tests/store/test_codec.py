@@ -179,7 +179,7 @@ class TestEncodingCodec:
         compiled = build()
         encoding = OneStepEncoding(
             compiled, ModelState(compiled.initial_state())
-        )
+        ).complete()
         table = ExprTable()
         payload = encode_encoding(encoding, table)
         exprs = decode_expr_table(table.nodes)
@@ -200,8 +200,67 @@ class TestEncodingCodec:
         compiled = build_counter_model()
         encoding = OneStepEncoding(
             compiled, ModelState(compiled.initial_state())
-        )
+        ).complete()
         table = ExprTable()
         payload = encode_encoding(encoding, table)
         with pytest.raises(CodecError):
             decode_encoding(payload, compiled, [])  # empty table
+
+
+class TestPartialEncodingRestore:
+    """Encodings are persisted as far as they were computed; a restored
+    one computes the rest on demand and answers like a cold full build."""
+
+    @pytest.mark.parametrize("name", ["CPUTask", "NICProtocol", "TCP"])
+    def test_restored_answers_equal_cold_complete(self, name):
+        import json
+        import random
+
+        from repro.cache import SolveCache
+        from repro.coverage.collector import CoverageCollector
+        from repro.model.inputs import random_input
+        from repro.model.simulator import Simulator
+        from repro.models.registry import get_benchmark
+
+        compiled = get_benchmark(name).build()
+        branches = list(compiled.registry.branches)
+        obligations = CoverageCollector(
+            compiled.registry
+        ).all_condition_obligations()
+        rng = random.Random(4)
+        simulator = Simulator(compiled, CoverageCollector(compiled.registry))
+        cache = SolveCache(name)
+        states = []
+        for _ in range(6):
+            state = simulator.get_state()
+            states.append(state)
+            encoding = cache.encoding(
+                state.fingerprint(),
+                lambda state=state: OneStepEncoding(compiled, state),
+            )
+            # Query a few targets only: the encoding stays partial.
+            for branch in rng.sample(branches, 3):
+                encoding.path_constraint(branch)
+            for obligation in rng.sample(obligations, 3):
+                encoding.obligation_constraint(obligation)
+            simulator.step(random_input(compiled.inports, rng))
+        payload = json.loads(json.dumps(cache.export_folds()))
+        restored = SolveCache(name)
+        counts = restored.restore_folds(payload, compiled)
+        assert counts["encodings"] == len(cache.encodings)
+        assert restored.encoding_entries == cache.encoding_entries
+
+        for state in states:
+            warm = restored.encoding(state.fingerprint(), None)
+            cold = OneStepEncoding(compiled, state).complete()
+            for branch in branches:
+                assert warm.path_constraint(branch) == cold.path_constraint(
+                    branch
+                ), branch
+            for obligation in obligations:
+                assert warm.obligation_constraint(
+                    obligation
+                ) == cold.obligation_constraint(obligation), obligation
+            assert warm._outcome_conditions == cold._outcome_conditions
+            assert warm._condition_atoms == cold._condition_atoms
+        assert restored.encoding_entries > cache.encoding_entries

@@ -39,9 +39,10 @@ def _suite_inputs(result):
 def test_warm_equals_cold_on_every_registry_model(name, tmp_path):
     """The 8-model bit-identity pin, budget-bound models included.
 
-    The solver's per-call wall-clock cutoff is raised out of the way:
-    it is the one remaining real-time source, and on a loaded machine
-    it could time out a solve in one run but not the other.
+    The solver's per-call wall-clock cutoff is raised out of the way
+    (the lite backoff engine inherits it): it is the one remaining
+    real-time source, and on a loaded machine it could time out a solve
+    in one run but not the other.
     """
     from repro.solver.engine import SolverConfig
 
@@ -52,9 +53,6 @@ def test_warm_equals_cold_on_every_registry_model(name, tmp_path):
         solver=SolverConfig(
             max_samples=48, avm_evaluations=700, time_budget_s=60.0
         ),
-        # The lite backoff engine clamps its own wall budget to 30ms
-        # regardless of the override above — keep it out of the pin.
-        failure_backoff_after=10**9,
     )
     cold = StcgGenerator(
         get_benchmark(name).build(), config, clock=counting_clock()
@@ -87,6 +85,26 @@ def test_third_run_is_a_fixed_point(tmp_path):
     third.run()
     assert third.stats["store_hits"] == 1
     assert third.stats["store_writes"] == 0
+
+
+def test_extending_a_restored_encoding_changes_the_save_fingerprint(tmp_path):
+    """Restored encodings are partial; a warm run that computes more of
+    one has learned something, so the skip-save fingerprint must see it
+    (otherwise :meth:`StcgGenerator._store_save` would drop the work)."""
+    config = StcgConfig(
+        budget_s=2.0, seed=7, store=StoreConfig(path=str(tmp_path))
+    )
+    build = get_benchmark("CPUTask").build
+    StcgGenerator(build(), config).run()
+    warm = StcgGenerator(build(), config)
+    assert warm._store_load() is not None
+    tree_size = warm._store_snapshot[-1]
+    assert warm._derived_sizes(tree_size) == warm._store_snapshot
+    _, encoding = next(iter(warm.cache.encodings.items()))
+    before = encoding.recorded_entries
+    encoding.complete()
+    assert encoding.recorded_entries > before
+    assert warm._derived_sizes(tree_size) != warm._store_snapshot
 
 
 class TestFuzzCorpusSeeding:
