@@ -63,13 +63,7 @@ from repro.obs.report import render_report
 from repro.provenance import PROVENANCE_SCHEMA
 from repro.solverc.compiler import SolvercStats
 from repro.telemetry.dashboard import render_dashboard
-from repro.telemetry.events import (
-    EventLog,
-    emit_trace_events,
-    fuzz_stats_payload,
-    read_events,
-    store_stats_payload,
-)
+from repro.telemetry.events import EventLog, emit_result, read_events
 from repro.telemetry.explain import load_provenance, render_explain
 
 __all__ = [
@@ -174,7 +168,7 @@ def generate(
     enables the persistent warm-start store (:mod:`repro.store`) rooted
     at that directory: verdicts, compiled-bundle markers, contraction
     snapshots, encodings, and fuzz corpora persist across runs, and
-    ``store_stats`` telemetry lands in the event stream.
+    the ``store.*`` counters land in ``result.metrics``.
     """
     if tool not in ALL_TOOLS:
         raise HarnessError(
@@ -234,50 +228,10 @@ def generate(
                     provenance=provenance,
                 )
         if events is not None:
-            events.emit(
-                "run_finished",
-                model=bench.name,
-                tool=tool,
-                duration_s=round(time.monotonic() - started, 6),
-                decision=result.decision,
-                condition=result.condition,
-                mcdc=result.mcdc,
-                cases=len(result.suite),
-                stats=dict(result.stats),
+            emit_result(
+                events, "run_finished", {"model": bench.name, "tool": tool},
+                result, time.monotonic() - started,
             )
-            for point in result.timeline:
-                events.emit(
-                    "timeline_point",
-                    t=round(point.t, 6),
-                    decision=point.decision_coverage,
-                    origin=point.origin,
-                    new_branches=point.new_branches,
-                )
-            emit_trace_events(
-                events, {"model": bench.name, "tool": tool}, result.trace_data
-            )
-            if "fuzz_executions" in result.stats:
-                events.emit(
-                    "fuzz_stats",
-                    model=bench.name,
-                    tool=tool,
-                    **fuzz_stats_payload(result.stats),
-                )
-            if "store_reads" in result.stats:
-                events.emit(
-                    "store_stats",
-                    model=bench.name,
-                    tool=tool,
-                    **store_stats_payload(result.stats),
-                )
-            if result.provenance:
-                events.emit(
-                    "provenance",
-                    model=bench.name,
-                    tool=tool,
-                    schema=PROVENANCE_SCHEMA,
-                    provenance=result.provenance,
-                )
             events.write_manifest(_manifest_path(events_out))
         return result
     finally:

@@ -18,6 +18,7 @@ from typing import Callable, List, Optional
 from repro.coverage.collector import CoverageCollector
 from repro.core.result import GenerationResult, ORIGIN_TOOL, TimelineEvent
 from repro.core.testcase import TestCase, TestSuite
+from repro.metrics import MetricsRegistry, populate_registry
 from repro.model.graph import CompiledModel
 from repro.model.inputs import piecewise_constant_sequence
 from repro.model.simulator import Simulator
@@ -37,7 +38,7 @@ class SimCoTestConfig:
     max_segments: int = 5
     stop_on_full_coverage: bool = True
     #: Deep tracing (``repro.trace/1``): per-candidate simulate phase
-    #: totals and step counters.  Observation only.
+    #: totals.  Observation only.
     trace: bool = False
     #: Objective-level coverage provenance (``repro.provenance/1``).
     #: Observation only; note that greedy selection keeps a candidate
@@ -139,6 +140,10 @@ class SimCoTestGenerator:
                 # Candidate discarded; any obligations it covered are
                 # attributed to no kept case.
                 ledger.end_case(None)
+        metrics = populate_registry(
+            MetricsRegistry(), stats=self.stats,
+            kernel=simulator.kernel_stats(),
+        )
         return GenerationResult(
             tool="SimCoTest",
             model_name=self.compiled.name,
@@ -148,6 +153,7 @@ class SimCoTestGenerator:
             stats=dict(self.stats),
             trace_data=self._trace_data(),
             provenance=ledger.snapshot(),
+            metrics=metrics.snapshot(),
         )
 
     def _trace_data(self):
@@ -161,7 +167,6 @@ class SimCoTestGenerator:
             "solver_stages": {},
             "tree_growth": [],
             "solver_targets": summary["targets"],
-            "counters": dict(summary["counters"]),
         }
 
 

@@ -26,6 +26,7 @@ from repro.core.result import GenerationResult, ORIGIN_TOOL, TimelineEvent
 from repro.core.testcase import TestCase, TestSuite
 from repro.expr import ops as x
 from repro.expr.ast import Const, Expr, Var
+from repro.metrics import MetricsRegistry, populate_registry
 from repro.model.context import symbolic_context
 from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
@@ -147,6 +148,7 @@ class SldvGenerator:
             "sat": 0,
             "unsat": 0,
             "unknown": 0,
+            "steps_executed": 0,
             "depth_reached": 0,
         }
 
@@ -220,6 +222,7 @@ class SldvGenerator:
                     outcome = simulator.run_sequence(
                         sequence, on_step=on_step, on_obligations=on_obligations
                     )
+                self.stats["steps_executed"] += outcome.steps
                 new_ids = list(outcome.new_branch_ids)
                 if new_ids:
                     timestamp = self._clock() - start
@@ -244,6 +247,21 @@ class SldvGenerator:
                     ledger.end_case(None)
             if self.config.stop_on_full_coverage and not self.collector.uncovered_branches():
                 break
+        stages = merge_stage_dicts({}, self._engine.metrics.as_dict())
+        solverc = {
+            "enabled": True,
+            **SolvercStats()
+            .merge(self._engine.solverc)
+            .merge(self._compiler.stats)
+            .as_dict(),
+        }
+        metrics = populate_registry(
+            MetricsRegistry(),
+            stats=self.stats,
+            solver_stages=stages,
+            kernel=simulator.kernel_stats(),
+            solverc=solverc,
+        )
         return GenerationResult(
             tool="SLDV",
             model_name=self.compiled.name,
@@ -251,11 +269,12 @@ class SldvGenerator:
             suite=self.suite,
             timeline=list(self.timeline),
             stats=dict(self.stats),
-            trace_data=self._trace_data(),
+            trace_data=self._trace_data(stages, solverc),
             provenance=ledger.snapshot(),
+            metrics=metrics.snapshot(),
         )
 
-    def _trace_data(self):
+    def _trace_data(self, stages, solverc):
         summarize = getattr(self.tracer, "summary", None)
         if summarize is None:
             return {}
@@ -263,19 +282,10 @@ class SldvGenerator:
         return {
             "schema": "repro.trace/1",
             "phase_totals": summary["phase_totals"],
-            "solver_stages": merge_stage_dicts(
-                {}, self._engine.metrics.as_dict()
-            ),
+            "solver_stages": stages,
             "tree_growth": [],
             "solver_targets": summary["targets"],
-            "counters": dict(summary["counters"]),
-            "solverc": {
-                "enabled": True,
-                **SolvercStats()
-                .merge(self._engine.solverc)
-                .merge(self._compiler.stats)
-                .as_dict(),
-            },
+            "solverc": solverc,
         }
 
 

@@ -63,9 +63,9 @@ def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="deep generator tracing: phase spans, solver-stage metrics "
-             "and tree growth as repro.trace/1 events (analyze with "
-             "'repro report')",
+        help="deep generator tracing: phase spans, slowest solver "
+             "targets and tree growth as repro.trace/1 events (analyze "
+             "with 'repro report')",
     )
     parser.add_argument(
         "--no-provenance", action="store_true",

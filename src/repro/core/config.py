@@ -276,13 +276,6 @@ class StcgConfig:
     #: never changes the generated tests or ``stats`` — only observes.
     trace: bool = False
 
-    #: Attach the unified ``repro.metrics/1`` registry snapshot to traced
-    #: results (``trace_data["metrics"]``), from which the legacy
-    #: solver-stage/cache/kernel counter payloads are derived as views.
-    #: Like tracing, metrics only observe: fixed-seed suites are
-    #: bit-identical with this on or off.
-    metrics: bool = True
-
     #: Objective-level coverage provenance (``repro.provenance/1``):
     #: record which (case, step) first covered every Decision/Condition/
     #: MCDC objective, and the audit chain of solver attempts — stage

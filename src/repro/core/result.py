@@ -44,6 +44,9 @@ class GenerationResult:
     #: the run was traced; kept separate from ``stats`` so tracing cannot
     #: perturb the comparison numbers.
     trace_data: Dict[str, object] = field(default_factory=dict)
+    #: The run's ``repro.metrics/1`` registry snapshot, filled by every
+    #: tool at run end, traced or not (see :mod:`repro.metrics`).
+    metrics: Dict[str, object] = field(default_factory=dict)
     #: Objective-level coverage provenance (``repro.provenance/1``):
     #: which (case, step, origin) first covered each objective, and the
     #: solver-attempt audit chain for each uncovered one.  Empty when the

@@ -37,12 +37,8 @@ from repro.expr.ast import Const
 from repro.metrics import (
     CASE_LENGTH_BOUNDS,
     MetricsRegistry,
-    cache_view,
     declare_instruments,
-    kernel_view,
     populate_registry,
-    solver_stages_view,
-    solverc_view,
 )
 from repro.model.graph import CompiledModel
 from repro.model.inputs import random_input
@@ -171,9 +167,9 @@ class StcgGenerator:
             "warmup_steps": 0,
         }
         #: The unified metrics registry (``repro.metrics/1``).  Declared
-        #: up front so an untraced or zero-activity run still snapshots
-        #: the full instrument set; most counters are projected from the
-        #: legacy accumulators at the end of the run, but live-observed
+        #: up front so a zero-activity run still snapshots the full
+        #: instrument set; counters are projected from the accumulators
+        #: at the end of the run (:meth:`_result`), but live-observed
         #: distributions (``stcg.case_length``) record as they happen.
         self.metrics = declare_instruments(MetricsRegistry())
         self._case_hist = self.metrics.histogram(
@@ -270,71 +266,62 @@ class StcgGenerator:
             if tracer.enabled:
                 tracer.sample("tree_nodes", self._elapsed(), len(self.tree))
         self._store_save()
+        return self._result("STCG")
+
+    def _result(self, tool: str) -> GenerationResult:
+        """The finished run as ``tool``'s result (STCG, Fuzz, Hybrid).
+
+        Projects the accumulators into the metrics registry once — the
+        run's ``metrics`` snapshot, traced or not — and, for traced runs,
+        hands the same accumulator dicts out as ``repro.trace/1`` data.
+        """
+        stats = {**self.stats, "tree_nodes": len(self.tree)}
+        stages = merge_stage_dicts({}, self._engine.metrics.as_dict())
+        merge_stage_dicts(stages, self._lite_engine.metrics.as_dict())
+        cache = {
+            **self.cache.stats(),
+            "verdict_skips": self.stats["verdict_skips"],
+            "dedup_links": self.tree.dedup_links,
+            "unique_states": self.tree.unique_states(),
+        }
+        kernel = self.simulator.kernel_stats()
+        solverc = self._solverc_stats()
+        populate_registry(
+            self.metrics,
+            stats=stats,
+            solver_stages=stages,
+            cache=cache,
+            kernel=kernel,
+            solverc=solverc,
+        )
+        trace_data: Dict[str, object] = {}
+        summarize = getattr(self.tracer, "summary", None)
+        if summarize is not None:
+            summary = summarize()
+            trace_data = {
+                "schema": TRACE_SCHEMA,
+                "phase_totals": summary["phase_totals"],
+                "solver_stages": stages,
+                "tree_growth": summary["series"].get("tree_nodes", []),
+                "solver_targets": summary["targets"],
+                "cache": cache,
+                "kernel": (
+                    {"enabled": False} if kernel is None
+                    else {"enabled": True, **kernel}
+                ),
+                "solverc": solverc,
+            }
         return GenerationResult(
-            tool="STCG",
+            tool=tool,
             model_name=self.compiled.name,
             summary=self.collector.summary(),
             suite=self.suite,
             timeline=list(self.timeline),
-            stats={**self.stats, "tree_nodes": len(self.tree)},
-            trace_data=self._trace_data(),
+            stats=stats,
+            trace_data=trace_data,
             provenance=self.ledger.snapshot(),
+            metrics=self.metrics.snapshot(),
         )
-
-    def _trace_data(self) -> Dict[str, object]:
-        """Assemble the ``repro.trace/1`` aggregates (empty when untraced).
-
-        The subsystem counter payloads (``solver_stages``, ``cache``,
-        ``kernel``, ``solverc``) are no longer built from their legacy
-        accumulators directly: the accumulators are folded into the
-        unified metrics registry once, and each payload is a *view* over
-        the resulting ``repro.metrics/1`` snapshot — so the snapshot and
-        the legacy shapes can never disagree.
-        """
-        summarize = getattr(self.tracer, "summary", None)
-        if summarize is None:
-            return {}
-        summary = summarize()
-        stages = merge_stage_dicts({}, self._engine.metrics.as_dict())
-        merge_stage_dicts(stages, self._lite_engine.metrics.as_dict())
-        cache_stats = self.cache.stats()
-        kernel_stats = self.simulator.kernel_stats()
-        populate_registry(
-            self.metrics,
-            stats=self.stats,
-            solver_stages=stages,
-            cache=cache_stats,
-            kernel=kernel_stats,
-            solverc=self._solverc_stats(),
-            tree_nodes=len(self.tree),
-            dedup_links=self.tree.dedup_links,
-            verdict_skips=self.stats["verdict_skips"],
-            unique_states=self.tree.unique_states(),
-        )
-        snapshot = self.metrics.snapshot()
-        counters = dict(summary["counters"])
-        counters.update(cache_stats)
-        counters["dedup_links"] = self.tree.dedup_links
-        kernel = kernel_view(snapshot)
-        if kernel_stats is not None:
-            # A label list, not a metric: carried alongside the view.
-            kernel["fallback_classes"] = list(
-                kernel_stats.get("fallback_classes") or []
-            )
-        data: Dict[str, object] = {
-            "schema": TRACE_SCHEMA,
-            "phase_totals": summary["phase_totals"],
-            "solver_stages": solver_stages_view(snapshot),
-            "tree_growth": summary["series"].get("tree_nodes", []),
-            "solver_targets": summary["targets"],
-            "counters": counters,
-            "cache": cache_view(snapshot),
-            "kernel": kernel,
-            "solverc": solverc_view(snapshot),
-        }
-        if self.config.metrics:
-            data["metrics"] = snapshot
-        return data
 
     def _solverc_stats(self) -> Dict[str, object]:
         """Solver-kernel counters over both engines plus the compiler."""

@@ -49,13 +49,7 @@ from repro.exec.heartbeat import (
 from repro.fuzz.engine import FuzzGenerator, HybridGenerator
 from repro.models.registry import BenchmarkModel
 from repro.obs.probe import PROBE
-from repro.provenance import PROVENANCE_SCHEMA
-from repro.telemetry.events import (
-    EventLog,
-    emit_trace_events,
-    fuzz_stats_payload,
-    store_stats_payload,
-)
+from repro.telemetry.events import EventLog, emit_result
 
 #: The paper's three tools, in rendering order.
 TOOLS = ("SLDV", "SimCoTest", "STCG")
@@ -364,10 +358,14 @@ def execute_matrix(
         raise HarnessError(
             f"stall_fraction must be positive, got {stall_fraction}"
         )
+    if events is None:
+        # No sink given: fold into an in-memory log, so the manifest comes
+        # from the one builder either way.
+        events = EventLog()
     heartbeat: Optional[HeartbeatConfig] = None
     if heartbeat_s is not None:
         directory = heartbeat_dir
-        if directory is None and events is not None and events.path:
+        if directory is None and events.path:
             directory = heartbeat_dir_for(events.path)
         if directory is None:
             import tempfile
@@ -388,26 +386,25 @@ def execute_matrix(
         store_dir=store_dir,
     )
     started = time.monotonic()
-    if events is not None:
-        events.emit(
-            "matrix_started",
-            models=[m.name for m in models],
-            tools=list(tools),
-            budget_s=budget_s,
-            repetitions=repetitions,
-            sldv_repetitions=sldv_repetitions,
-            seed=seed,
-            workers=workers,
-            cell_timeout=cell_timeout,
-            trace=trace,
-            heartbeat_s=heartbeat_s,
-            store_dir=store_dir,
-            cells=len(cells),
-        )
+    events.emit(
+        "matrix_started",
+        models=[m.name for m in models],
+        tools=list(tools),
+        budget_s=budget_s,
+        repetitions=repetitions,
+        sldv_repetitions=sldv_repetitions,
+        seed=seed,
+        workers=workers,
+        cell_timeout=cell_timeout,
+        trace=trace,
+        heartbeat_s=heartbeat_s,
+        store_dir=store_dir,
+        cells=len(cells),
+    )
 
     payloads: List[Optional[_CellOutcome]] = [None] * len(cells)
     watchdog: Optional[StallWatchdog] = None
-    if heartbeat is not None and events is not None:
+    if heartbeat is not None:
         reference = cell_timeout if cell_timeout is not None else budget_s
         watchdog = StallWatchdog(
             heartbeat.directory,
@@ -425,8 +422,7 @@ def execute_matrix(
     try:
         if workers == 1 or len(cells) <= 1:
             for spec in cells:
-                if events is not None:
-                    events.emit("cell_started", **spec.identity())
+                events.emit("cell_started", **spec.identity())
                 _record(spec, _run_cell_guarded(spec, cell_timeout, heartbeat))
         else:
             _run_pooled(cells, workers, cell_timeout, events, _record, heartbeat)
@@ -459,32 +455,27 @@ def execute_matrix(
             )
 
     wall_s = time.monotonic() - started
-    if events is not None:
-        events.emit(
-            "matrix_finished",
-            cells=len(cells),
-            ok=len(cells) - len(failures),
-            failed=len(failures),
-            wall_s=round(wall_s, 6),
-        )
-    result = ExperimentResult(
+    events.emit(
+        "matrix_finished",
+        cells=len(cells),
+        ok=len(cells) - len(failures),
+        failed=len(failures),
+        wall_s=round(wall_s, 6),
+    )
+    return ExperimentResult(
         outcomes=outcomes,
         failures=failures,
         cells_total=len(cells),
         wall_s=wall_s,
+        manifest=events.manifest(),
     )
-    result.manifest = (
-        events.manifest() if events is not None
-        else _bare_manifest(result)
-    )
-    return result
 
 
 def _run_pooled(
     cells: Sequence[CellSpec],
     workers: int,
     cell_timeout: Optional[float],
-    events: Optional[EventLog],
+    events: EventLog,
     record: Callable[[CellSpec, _CellOutcome], None],
     heartbeat: Optional[HeartbeatConfig] = None,
 ) -> None:
@@ -499,8 +490,7 @@ def _run_pooled(
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             future_map = {}
             for spec in cells:
-                if events is not None:
-                    events.emit("cell_started", **spec.identity())
+                events.emit("cell_started", **spec.identity())
                 future_map[
                     pool.submit(_run_cell_guarded, spec, cell_timeout, heartbeat)
                 ] = spec
@@ -524,7 +514,7 @@ def _notify(
     spec: CellSpec,
     payload: _CellOutcome,
     progress: Optional[Callable[[str], None]],
-    events: Optional[EventLog],
+    events: EventLog,
 ) -> None:
     """Per-completed-cell progress + telemetry, from the parent process."""
     if payload.kind == "ok":
@@ -534,76 +524,17 @@ def _notify(
                 f"{spec.label}: D={result.decision:.0%} "
                 f"C={result.condition:.0%} M={result.mcdc:.0%}"
             )
-        if events is not None:
-            events.emit(
-                "cell_finished",
-                **spec.identity(),
-                duration_s=round(payload.duration_s, 6),
-                decision=result.decision,
-                condition=result.condition,
-                mcdc=result.mcdc,
-                cases=len(result.suite),
-                stats=dict(result.stats),
-            )
-            for point in result.timeline:
-                events.emit(
-                    "timeline_point",
-                    cell=spec.index,
-                    t=round(point.t, 6),
-                    decision=point.decision_coverage,
-                    origin=point.origin,
-                    new_branches=point.new_branches,
-                )
-            emit_trace_events(events, spec.identity(), result.trace_data)
-            if "fuzz_executions" in result.stats:
-                events.emit(
-                    "fuzz_stats", **spec.identity(), **fuzz_stats_payload(result.stats)
-                )
-            if "store_reads" in result.stats:
-                events.emit(
-                    "store_stats",
-                    **spec.identity(),
-                    **store_stats_payload(result.stats),
-                )
-            if result.provenance:
-                events.emit(
-                    "provenance",
-                    **spec.identity(),
-                    schema=PROVENANCE_SCHEMA,
-                    provenance=result.provenance,
-                )
+        emit_result(
+            events, "cell_finished", spec.identity(), result,
+            payload.duration_s, point_tag={"cell": spec.index},
+        )
     else:
         if progress is not None:
             progress(f"{spec.label}: FAILED ({payload.kind}: {payload.message})")
-        if events is not None:
-            events.emit(
-                "cell_failed",
-                **spec.identity(),
-                kind=payload.kind,
-                message=payload.message,
-                duration_s=round(payload.duration_s, 6),
-            )
-
-
-def _bare_manifest(result: ExperimentResult) -> Dict[str, object]:
-    """A minimal manifest when no telemetry sink was attached."""
-    return {
-        "schema": "repro.run-manifest/1",
-        "cells": result.cells_total,
-        "ok": result.cells_ok,
-        "failed": len(result.failures),
-        "wall_s": round(result.wall_s, 6),
-        "failures": [f.to_dict() for f in result.failures],
-        "coverage": {
-            model: {
-                tool: {
-                    "decision": outcome.decision,
-                    "condition": outcome.condition,
-                    "mcdc": outcome.mcdc,
-                    "runs": len(outcome.runs),
-                }
-                for tool, outcome in per_tool.items()
-            }
-            for model, per_tool in result.outcomes.items()
-        },
-    }
+        events.emit(
+            "cell_failed",
+            **spec.identity(),
+            kind=payload.kind,
+            message=payload.message,
+            duration_s=round(payload.duration_s, 6),
+        )

@@ -404,16 +404,7 @@ class FuzzGenerator:
             host._store_save(
                 extra={"corpus": json.loads(campaign.corpus.to_json())}
             )
-        return GenerationResult(
-            tool="Fuzz",
-            model_name=host.compiled.name,
-            summary=host.collector.summary(),
-            suite=host.suite,
-            timeline=list(host.timeline),
-            stats={**host.stats, "tree_nodes": len(host.tree)},
-            trace_data=host._trace_data(),
-            provenance=host.ledger.snapshot(),
-        )
+        return host._result("Fuzz")
 
 
 class HybridGenerator:
@@ -482,16 +473,7 @@ class HybridGenerator:
             host._store_save(
                 extra={"corpus": json.loads(campaign.corpus.to_json())}
             )
-        return GenerationResult(
-            tool="Hybrid",
-            model_name=host.compiled.name,
-            summary=host.collector.summary(),
-            suite=host.suite,
-            timeline=list(host.timeline),
-            stats={**host.stats, "tree_nodes": len(host.tree)},
-            trace_data=host._trace_data(),
-            provenance=host.ledger.snapshot(),
-        )
+        return host._result("Hybrid")
 
     @staticmethod
     def _solver_loop(host: StcgGenerator) -> None:

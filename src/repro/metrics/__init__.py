@@ -1,25 +1,23 @@
 """Unified experiment metrics: a deterministic, schema-stable registry.
 
-The registry (:class:`MetricsRegistry`) is the single namespace the
-formerly ad-hoc subsystem counter bundles — solver stages, solve caches,
-sim kernel, solver kernel — now live in.  Snapshots are JSON documents
-tagged ``repro.metrics/1``; :func:`merge_snapshots` folds per-worker
-registries together commutatively so workers=1 and workers=N aggregate
-identically, and :func:`delta_snapshots` supports before/after analysis.
-The old telemetry event kinds (``solver_stages``, ``cache_stats``,
-``kernel_stats``, ``solverc_stats``) are derived as *views* over
-snapshots by :mod:`repro.metrics.instruments`.
+The registry (:class:`MetricsRegistry`) is the single counter namespace
+of every tool: :func:`declare_instruments` declares it and
+:func:`populate_registry` projects a finished run's accumulators into it,
+giving each run's ``GenerationResult.metrics`` snapshot.  Snapshots are
+JSON documents tagged ``repro.metrics/1``; :func:`merge_snapshots` folds
+per-worker registries together commutatively so workers=1 and workers=N
+aggregate identically, and :func:`delta_snapshots` supports before/after
+analysis.  :data:`RATES` / :func:`derived_rates` are the derived rates
+every consumer shares.
 """
 
 from repro.metrics.instruments import (
     CASE_LENGTH_BOUNDS,
-    FUZZ_COUNTERS,
-    cache_view,
+    RATES,
     declare_instruments,
-    kernel_view,
+    derived_rates,
+    format_rate,
     populate_registry,
-    solver_stages_view,
-    solverc_view,
 )
 from repro.metrics.registry import (
     Counter,
@@ -37,20 +35,18 @@ from repro.metrics.registry import (
 __all__ = [
     "CASE_LENGTH_BOUNDS",
     "Counter",
-    "FUZZ_COUNTERS",
     "GAUGE_MODES",
     "Gauge",
     "Histogram",
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "cache_view",
+    "RATES",
     "declare_instruments",
     "delta_snapshots",
+    "derived_rates",
     "empty_snapshot",
     "fold_snapshots",
-    "kernel_view",
+    "format_rate",
     "merge_snapshots",
     "populate_registry",
-    "solver_stages_view",
-    "solverc_view",
 ]

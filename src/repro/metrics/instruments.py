@@ -1,31 +1,43 @@
-"""Canonical instrument names + views mapping snapshots onto legacy shapes.
+"""The canonical instrument namespace and the one run-end projection.
 
-PRs 2-6 each grew an ad-hoc counter bundle: per-stage
-:class:`~repro.obs.stages.SolverStageMetrics`, the solve-cache counters
-(:data:`~repro.obs.stages.CACHE_COUNTERS`), the sim-kernel specialization
-stats and the solver-kernel :class:`~repro.solverc.compiler.SolvercStats`.
-This module is where those four shapes meet one namespace:
+Every tool (STCG, Fuzz, Hybrid, SimCoTest, SLDV) counts where the work
+happens — the generator's ``stats`` dict, the merged
+:class:`~repro.obs.stages.SolverStageMetrics`, ``SolveCache.stats()``,
+``Simulator.kernel_stats()``, :class:`~repro.solverc.compiler.SolvercStats`
+— and :func:`populate_registry` projects those accumulators into a
+registry once, at run end.  The snapshot lands in
+``GenerationResult.metrics`` and is the only path counters take out of a
+run: one ``metrics`` event per cell, one folded manifest section, one
+generic ``repro report`` section.
 
-* ``stcg.*``     — the generator's own counters (``stats`` dict) plus the
-  ``stcg.case_length`` histogram over synthesized test cases;
+:func:`declare_instruments` is the single declaration of the namespace:
+
+* ``run.*``      — counters every tool has (solver calls and verdicts,
+  simulated steps, whole-sequence simulations) plus ``run.cells``;
+* ``stcg.*``     — the state-aware generator's own counters, the
+  ``stcg.tree_nodes`` max-gauge and the ``stcg.case_length`` histogram;
 * ``solver.stage.<stage>.*`` — attempts/finished/wins counters and a
   ``seconds`` sum-gauge per canonical pipeline stage;
-* ``cache.*``    — the solve-cache counters, verdict skips, dedup links
-  (counters) and ``cache.unique_states`` (max-gauge);
-* ``kernel.*`` / ``solverc.*`` — compiled-vs-fallback traffic, with an
-  ``enabled`` max-gauge (0/1) per kernel.
+* ``cache.*``    — solve-cache traffic, verdict skips, dedup links and the
+  ``cache.unique_states`` max-gauge;
+* ``kernel.*`` / ``solverc.*`` — compiled-vs-fallback traffic with an
+  ``enabled`` max-gauge (0/1) per kernel; every sim-kernel fallback class
+  adds a ``kernel.fallback.<Class>`` counter (cells it fell back in);
+* ``fuzz.*``     — campaign counters, the ``fuzz.corpus_size`` max-gauge
+  and the ``fuzz.seconds`` wall-clock sum-gauge;
+* ``store.*``    — warm-start store traffic and restored-fold counts.
 
-:func:`populate_registry` projects one finished run's legacy accumulators
-into a registry; the ``*_view`` functions go the other way, rebuilding the
-exact payload shapes of the pre-registry telemetry kinds
-(``solver_stages``, ``cache_stats``, ``kernel_stats``, ``solverc_stats``)
-from a snapshot — the old event kinds are now *views over the registry*,
-not independently maintained counter sets.
+``fuzz.cells`` / ``store.cells`` count the runs that carried a campaign /
+a store, so folded snapshots still say how many cells contributed.
+
+:data:`RATES` is the one table of derived rates (hit rates, fallback
+rates, stage win rates, fuzz throughput) that ``repro report`` and
+``repro diff`` both read.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.stages import CACHE_COUNTERS, SOLVER_STAGES
@@ -33,14 +45,11 @@ from repro.solverc.compiler import SolvercStats
 
 __all__ = [
     "CASE_LENGTH_BOUNDS",
-    "FUZZ_COUNTERS",
-    "STAT_COUNTERS",
-    "cache_view",
-    "kernel_view",
-    "populate_registry",
+    "RATES",
     "declare_instruments",
-    "solver_stages_view",
-    "solverc_view",
+    "derived_rates",
+    "format_rate",
+    "populate_registry",
 ]
 
 #: Fixed bucket bounds of the ``stcg.case_length`` histogram (steps per
@@ -48,42 +57,97 @@ __all__ = [
 #: merges stay well-defined.
 CASE_LENGTH_BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
-#: Generator ``stats`` keys mirrored as ``stcg.*`` counters.
-STAT_COUNTERS = (
+#: Tool-neutral ``stats`` keys, mirrored as ``run.*`` counters.
+_RUN_COUNTERS = (
     "solver_calls",
     "sat",
     "unsat",
     "unknown",
     "steps_executed",
+    "simulations",
+)
+
+#: Generator ``stats`` keys mirrored as ``stcg.*`` counters.
+_STCG_COUNTERS = (
     "random_sequences",
     "const_false_skips",
-    "verdict_skips",
     "warmup_steps",
 )
 
-#: Generator ``stats`` keys mirrored as ``fuzz.*`` counters when a run
-#: carried a fuzz campaign (``Fuzz``/``Hybrid`` tools); executions/sec is
-#: wall-clock derived and deliberately not a registry instrument.
-FUZZ_COUNTERS = (
+#: ``fuzz_<key>`` stats mirrored as ``fuzz.<key>`` counters.
+_FUZZ_COUNTERS = (
     "executions",
     "retained",
     "rejected",
     "seed_entries",
     "steps",
     "tree_nodes",
+    "targets",
+    "targets_covered",
 )
+
+#: Store stats keys; the ``store_`` prefix is dropped in the counter name.
+_STORE_COUNTERS = (
+    "store_reads",
+    "store_hits",
+    "store_misses",
+    "store_rejected",
+    "store_writes",
+    "restored_verdicts",
+    "restored_markers",
+    "restored_snapshots",
+    "restored_encodings",
+    "corpus_seeds",
+)
+
+#: Generator-side cache counters carried next to ``SolveCache.stats()``.
+_CACHE_EXTRA = ("verdict_skips", "dedup_links")
 
 #: Per-stage fields kept as counters (``seconds`` is a sum-gauge).
 _STAGE_COUNTER_FIELDS = ("attempts", "finished", "wins")
+
+#: Derived rates: (name, numerator instruments, denominator instruments).
+#: Each side sums its instruments' folded values (counters, or gauges
+#: such as ``fuzz.seconds``); a rate whose denominator is zero is None.
+RATES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
+    (
+        "cache_hit",
+        ("cache.encoding_hits", "cache.compiled_hits"),
+        ("cache.encoding_hits", "cache.encoding_misses",
+         "cache.compiled_hits", "cache.compiled_misses"),
+    ),
+    (
+        "kernel_fallback",
+        ("kernel.fallback_blocks",),
+        ("kernel.fallback_blocks", "kernel.specialized_blocks"),
+    ),
+    (
+        "solverc_fallback",
+        ("solverc.candidates_scalar",),
+        ("solverc.candidates_scalar", "solverc.candidates_batched"),
+    ),
+    ("fuzz_execs_per_s", ("fuzz.executions",), ("fuzz.seconds",)),
+) + tuple(
+    (
+        f"{stage}_win",
+        (f"solver.stage.{stage}.wins",),
+        (f"solver.stage.{stage}.finished",),
+    )
+    for stage in SOLVER_STAGES
+)
 
 
 def declare_instruments(registry: MetricsRegistry) -> MetricsRegistry:
     """Declare every canonical instrument up front (schema stability).
 
     A run that never touches a subsystem still snapshots the same key set
-    as one that does — zeros, not absences.
+    as one that does — zeros, not absences — and every tool declares the
+    same set.
     """
-    for key in STAT_COUNTERS:
+    registry.counter("run.cells")
+    for key in _RUN_COUNTERS:
+        registry.counter(f"run.{key}")
+    for key in _STCG_COUNTERS:
         registry.counter(f"stcg.{key}")
     registry.gauge("stcg.tree_nodes", mode="max")
     registry.histogram("stcg.case_length", CASE_LENGTH_BOUNDS)
@@ -91,10 +155,8 @@ def declare_instruments(registry: MetricsRegistry) -> MetricsRegistry:
         for field in _STAGE_COUNTER_FIELDS:
             registry.counter(f"solver.stage.{stage}.{field}")
         registry.gauge(f"solver.stage.{stage}.seconds", mode="sum")
-    for key in CACHE_COUNTERS:
+    for key in CACHE_COUNTERS + _CACHE_EXTRA:
         registry.counter(f"cache.{key}")
-    registry.counter("cache.verdict_skips")
-    registry.counter("cache.dedup_links")
     registry.gauge("cache.unique_states", mode="max")
     registry.gauge("kernel.enabled", mode="max")
     registry.counter("kernel.specialized_blocks")
@@ -103,37 +165,47 @@ def declare_instruments(registry: MetricsRegistry) -> MetricsRegistry:
     registry.gauge("solverc.enabled", mode="max")
     for key in SolvercStats.KEYS:
         registry.counter(f"solverc.{key}")
-    for key in FUZZ_COUNTERS:
+    registry.counter("fuzz.cells")
+    for key in _FUZZ_COUNTERS:
         registry.counter(f"fuzz.{key}")
     registry.gauge("fuzz.corpus_size", mode="max")
+    registry.gauge("fuzz.seconds", mode="sum")
+    registry.counter("store.cells")
+    for key in _STORE_COUNTERS:
+        registry.counter(f"store.{key.removeprefix('store_')}")
     return registry
 
 
 def populate_registry(
     registry: MetricsRegistry,
     *,
-    stats: Dict[str, int],
-    solver_stages: Dict[str, Dict[str, float]],
-    cache: Dict[str, int],
-    kernel: Optional[Dict[str, object]],
-    solverc: Dict[str, object],
-    tree_nodes: int,
-    dedup_links: int,
-    verdict_skips: int,
-    unique_states: int,
+    stats: Mapping[str, object],
+    solver_stages: Optional[Dict[str, Dict[str, float]]] = None,
+    cache: Optional[Mapping[str, object]] = None,
+    kernel: Optional[Mapping[str, object]] = None,
+    solverc: Optional[Mapping[str, object]] = None,
 ) -> MetricsRegistry:
-    """Fold one finished run's legacy accumulators into ``registry``.
+    """Project one finished run's accumulators into ``registry``.
 
-    The arguments are exactly the shapes the pre-registry code produced
-    (``SolverStageMetrics.as_dict()``, ``SolveCache.stats()``,
-    ``Simulator.kernel_stats()``, ``SolvercStats.as_dict()`` with an
-    ``enabled`` key) — this is the migration seam, not a new format.
+    The arguments are the accumulators' own shapes: the generator's
+    ``stats`` (``fuzz_*`` / ``store_*`` keys included when present),
+    merged ``SolverStageMetrics.as_dict()`` mappings, ``SolveCache.stats()``
+    plus the generator's ``verdict_skips`` / ``dedup_links`` /
+    ``unique_states``, ``Simulator.kernel_stats()`` (None when the sim
+    kernel is off) and ``SolvercStats.as_dict()`` with an ``enabled`` key.
+    Subsystems a tool does not have stay at their declared zeros.  Call
+    once per run: counters only ever increase.
     """
     declare_instruments(registry)
-    for key in STAT_COUNTERS:
+    registry.counter("run.cells").inc(1)
+    for key in _RUN_COUNTERS:
+        registry.counter(f"run.{key}").inc(int(stats.get(key, 0)))
+    for key in _STCG_COUNTERS:
         registry.counter(f"stcg.{key}").inc(int(stats.get(key, 0)))
-    registry.gauge("stcg.tree_nodes", mode="max").record(float(tree_nodes))
-    for stage, stat in solver_stages.items():
+    registry.gauge("stcg.tree_nodes", mode="max").record(
+        float(stats.get("tree_nodes", 0))
+    )
+    for stage, stat in (solver_stages or {}).items():
         for field in _STAGE_COUNTER_FIELDS:
             registry.counter(f"solver.stage.{stage}.{field}").inc(
                 int(stat.get(field, 0))
@@ -141,15 +213,16 @@ def populate_registry(
         registry.gauge(f"solver.stage.{stage}.seconds", mode="sum").record(
             float(stat.get("seconds", 0.0))
         )
-    for key in CACHE_COUNTERS:
+    cache = cache or {}
+    for key in CACHE_COUNTERS + _CACHE_EXTRA:
         registry.counter(f"cache.{key}").inc(int(cache.get(key, 0)))
-    registry.counter("cache.verdict_skips").inc(int(verdict_skips))
-    registry.counter("cache.dedup_links").inc(int(dedup_links))
     registry.gauge("cache.unique_states", mode="max").record(
-        float(unique_states)
+        float(cache.get("unique_states", 0))
+    )
+    registry.gauge("kernel.enabled", mode="max").record(
+        0.0 if kernel is None else 1.0
     )
     if kernel is not None:
-        registry.gauge("kernel.enabled", mode="max").record(1.0)
         registry.counter("kernel.specialized_blocks").inc(
             int(kernel.get("specialized_blocks", 0))
         )
@@ -157,104 +230,58 @@ def populate_registry(
             int(kernel.get("fallback_blocks", 0))
         )
         registry.counter("kernel.steps").inc(int(kernel.get("kernel_steps", 0)))
-    else:
-        registry.gauge("kernel.enabled", mode="max").record(0.0)
+        for name in kernel.get("fallback_classes") or ():
+            registry.counter(f"kernel.fallback.{name}").inc(1)
+    solverc = solverc or {}
     registry.gauge("solverc.enabled", mode="max").record(
         1.0 if solverc.get("enabled") else 0.0
     )
     for key in SolvercStats.KEYS:
         registry.counter(f"solverc.{key}").inc(int(solverc.get(key, 0)))
-    # Fuzz campaign counters ride along in the same stats dict (the
-    # ``fuzz_*`` keys); absent on pure STCG/baseline runs, where the
-    # declared instruments stay at zero.
-    for key in FUZZ_COUNTERS:
-        registry.counter(f"fuzz.{key}").inc(int(stats.get(f"fuzz_{key}", 0)))
-    registry.gauge("fuzz.corpus_size", mode="max").record(
-        float(stats.get("fuzz_corpus_size", 0))
-    )
+    if "fuzz_executions" in stats:
+        registry.counter("fuzz.cells").inc(1)
+        for key in _FUZZ_COUNTERS:
+            registry.counter(f"fuzz.{key}").inc(int(stats.get(f"fuzz_{key}", 0)))
+        registry.gauge("fuzz.corpus_size", mode="max").record(
+            float(stats.get("fuzz_corpus_size", 0))
+        )
+        registry.gauge("fuzz.seconds", mode="sum").record(
+            float(stats.get("fuzz_wall_s", 0.0))
+        )
+    if "store_reads" in stats:
+        registry.counter("store.cells").inc(1)
+        for key in _STORE_COUNTERS:
+            registry.counter(f"store.{key.removeprefix('store_')}").inc(
+                int(stats.get(key, 0))
+            )
     return registry
 
 
-# ----------------------------------------------------------------------
-# views: snapshot -> legacy telemetry payload shapes
-# ----------------------------------------------------------------------
-
-
-def solver_stages_view(
-    snapshot: Dict[str, object]
-) -> Dict[str, Dict[str, float]]:
-    """The legacy ``solver_stages`` event payload: per-stage stat dicts.
-
-    Stages with all-zero counters are omitted, matching
-    ``SolverStageMetrics.as_dict()`` (which only lists stages that ran);
-    pipeline order is preserved.
-    """
+def _value(snapshot: Mapping[str, object], name: str) -> float:
+    """An instrument's folded value: a counter, or a gauge's value."""
     counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    # Stage names come from the snapshot itself (any counter named
-    # ``solver.stage.<stage>.<field>``), not just the canonical list, so
-    # a non-canonical stage tag survives the registry round-trip.
-    named = set()
-    for key in counters:
-        if key.startswith("solver.stage.") and key.count(".") >= 3:
-            named.add(key[len("solver.stage."):].rsplit(".", 1)[0])
-    ordered = [s for s in SOLVER_STAGES if s in named]
-    ordered += [s for s in sorted(named) if s not in SOLVER_STAGES]
-    stages: Dict[str, Dict[str, float]] = {}
-    for stage in ordered:
-        stat = {
-            field: int(counters.get(f"solver.stage.{stage}.{field}", 0))
-            for field in _STAGE_COUNTER_FIELDS
-        }
-        seconds = (gauges.get(f"solver.stage.{stage}.seconds") or {}).get(
-            "value"
-        )
-        stat["seconds"] = round(float(seconds or 0.0), 6)
-        if any(stat.values()):
-            stages[stage] = stat
-    return stages
+    if name in counters:
+        return float(counters[name])
+    gauge = (snapshot.get("gauges") or {}).get(name) or {}
+    return float(gauge.get("value") or 0.0)
 
 
-def cache_view(snapshot: Dict[str, object]) -> Dict[str, int]:
-    """The legacy ``cache_stats`` payload (plus ``unique_states``)."""
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    view = {key: int(counters.get(f"cache.{key}", 0))
-            for key in CACHE_COUNTERS}
-    view["verdict_skips"] = int(counters.get("cache.verdict_skips", 0))
-    view["dedup_links"] = int(counters.get("cache.dedup_links", 0))
-    unique = (gauges.get("cache.unique_states") or {}).get("value")
-    view["unique_states"] = int(unique or 0)
-    return view
+def derived_rates(
+    snapshot: Mapping[str, object]
+) -> Dict[str, Optional[float]]:
+    """Every :data:`RATES` entry over one (folded) snapshot."""
+    rates: Dict[str, Optional[float]] = {}
+    for name, numerator, denominator in RATES:
+        below = sum(_value(snapshot, key) for key in denominator)
+        above = sum(_value(snapshot, key) for key in numerator)
+        rates[name] = (above / below) if below else None
+    return rates
 
 
-def kernel_view(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """The legacy ``kernel_stats`` payload (minus ``fallback_classes``,
-    which is a label list, not a metric — callers carry it separately)."""
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    enabled = bool((gauges.get("kernel.enabled") or {}).get("value"))
-    view: Dict[str, object] = {"enabled": enabled}
-    if enabled:
-        view["specialized_blocks"] = int(
-            counters.get("kernel.specialized_blocks", 0)
-        )
-        view["fallback_blocks"] = int(
-            counters.get("kernel.fallback_blocks", 0)
-        )
-        view["kernel_steps"] = int(counters.get("kernel.steps", 0))
-    return view
-
-
-def solverc_view(snapshot: Dict[str, object]) -> Dict[str, object]:
-    """The legacy ``solverc_stats`` payload."""
-    counters = snapshot.get("counters") or {}
-    gauges = snapshot.get("gauges") or {}
-    enabled = bool((gauges.get("solverc.enabled") or {}).get("value"))
-    view: Dict[str, object] = {"enabled": enabled}
-    if enabled:
-        view.update({
-            key: int(counters.get(f"solverc.{key}", 0))
-            for key in SolvercStats.KEYS
-        })
-    return view
+def format_rate(name: str, value: Optional[float]) -> str:
+    """A rate for display: ``--`` when undefined, per-second or percent."""
+    if value is None:
+        return "--"
+    if name.endswith("_per_s"):
+        return f"{value:.0f}/s"
+    return f"{value:.1%}"

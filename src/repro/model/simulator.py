@@ -158,9 +158,7 @@ class Simulator:
         """Execute one iteration of the model with concrete ``inputs``."""
         if self.tracer.enabled:
             with self.tracer.span("sim_step"):
-                result = self._step(inputs)
-            self.tracer.count("sim_steps")
-            return result
+                return self._step(inputs)
         return self._step(inputs)
 
     def _step(self, inputs: Mapping[str, object]) -> StepResult:
@@ -219,7 +217,6 @@ class Simulator:
                     ctx = self._execute(prepared)
                     self._state.update(ctx.next_state)
                     self._time += 1
-                tracer.count("sim_steps")
             else:
                 ctx = self._execute(prepared)
                 self._state.update(ctx.next_state)

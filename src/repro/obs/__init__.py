@@ -7,8 +7,9 @@ span for tests and debugging; :class:`PhaseProfiler` aggregates spans into
 bounded per-phase totals suitable for long runs.
 
 Aggregates flow into the telemetry event stream as ``repro.trace/1`` event
-kinds (``span``, ``phase_totals``, ``solver_stages``, ``tree_growth``) and
-are rendered by :func:`render_report` (the ``repro report`` subcommand).
+kinds (``span``, ``phase_totals``, ``tree_growth``) and are rendered by
+:func:`render_report` (the ``repro report`` subcommand); counters travel
+separately, in every run's ``repro.metrics/1`` snapshot.
 """
 
 from repro.obs.tracer import (

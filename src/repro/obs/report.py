@@ -1,25 +1,26 @@
-"""Render a ``repro.events/1`` + ``repro.trace/1`` stream as a text report.
+"""Render a ``repro.events/1`` stream as a text report.
 
 The ``repro report`` subcommand reads an events JSONL file (written by
 ``repro generate/compare/table3/fig4 --events-out ... [--trace]``) and
 prints:
 
-* run summary (cells, failures, wall-clock),
+* run summary (cells, failures, stalls, wall-clock),
+* the per-cell ``repro.metrics/1`` snapshots folded into one, grouped by
+  namespace (``run.*``, ``solver.stage.*``, ``cache.*``, ``kernel.*``,
+  ``solverc.*``, ``fuzz.*``, ``store.*``, ...), plus the derived rates of
+  :data:`repro.metrics.RATES` (cache hit rate, stage win rates, fuzz
+  executions/sec, ...),
 * per-cell phase-time breakdown (where the generator's time went),
-* solver-stage win rates (which pipeline stage actually closes targets),
-* solve-cache traffic (encoding hits/misses/evictions, verdict skips),
-* simulation-kernel specialization (specialized/fallback blocks, steps),
-* solver-kernel traffic (compiled constraints, batched vs scalar
-  candidate scoring, contraction-snapshot replays, fallbacks),
 * state-tree growth curves,
 * coverage-vs-time curves (from the ``timeline_point`` events),
+* objective provenance,
 * the top-N slowest solver targets.
 
-Everything degrades gracefully: an untraced stream still renders the
-summary and coverage sections, and every section whose event kind is
-absent prints an explicit ``(no events of kind <kind> ...)`` line rather
-than a zero-filled table, so a reader can tell "not recorded" from
-"recorded as zero".
+Every run emits its metrics snapshot, so the metrics section renders for
+untraced streams too.  Every section whose event kind is absent prints an
+explicit ``(no events of kind <kind> ...)`` line rather than a
+zero-filled table, so a reader can tell "not recorded" from "recorded as
+zero".
 """
 
 from __future__ import annotations
@@ -95,13 +96,7 @@ def render_report(events, top_n: int = 10) -> str:
     lines += _section_summary(events)
     lines += _section_metrics(events)
     lines += _section_phases(events)
-    lines += _section_stages(events)
-    lines += _section_cache(events)
-    lines += _section_kernel(events)
-    lines += _section_solverc(events)
     lines += _section_tree_growth(events)
-    lines += _section_store(events)
-    lines += _section_fuzz(events)
     lines += _section_coverage(events)
     lines += _section_provenance(events)
     lines += _section_targets(events, top_n)
@@ -146,33 +141,90 @@ def _section_summary(events) -> List[str]:
     return lines
 
 
+#: Metric namespaces in report order: (name prefix, heading).
+_NAMESPACES = (
+    ("run.", "every tool"),
+    ("stcg.", "STCG generator"),
+    ("solver.stage.", "solver stages"),
+    ("cache.", "solve cache"),
+    ("kernel.", "simulation kernel"),
+    ("solverc.", "solver kernel"),
+    ("fuzz.", "fuzz campaigns"),
+    ("store.", "warm-start store"),
+)
+
+
+def _namespace(name: str) -> str:
+    for prefix, _ in _NAMESPACES:
+        if name.startswith(prefix):
+            return prefix
+    return name.split(".", 1)[0] + "."
+
+
 def _section_metrics(events) -> List[str]:
-    lines = ["unified metrics (repro.metrics/1)",
-             "---------------------------------"]
     metric_events = _of_kind(events, "metrics")
     if not metric_events:
-        lines += ["  (no events of kind metrics — re-run with --trace)", ""]
-        return lines
-    from repro.metrics import empty_snapshot, fold_snapshots
+        return ["metrics (repro.metrics/1)", "-------------------------",
+                "  (no events of kind metrics in this stream)", ""]
+    from repro.metrics import derived_rates, format_rate
+    from repro.telemetry.events import build_manifest
 
-    folded = fold_snapshots([
-        (_cell_key(event), event.get("snapshot") or empty_snapshot())
-        for event in metric_events
-    ])
-    lines.append(f"  (folded over {len(metric_events)} cell snapshot(s))")
-    counters = folded.get("counters") or {}
-    nonzero = {k: v for k, v in counters.items() if v}
-    for name in sorted(nonzero):
-        lines.append(f"  {name:<32s} {int(nonzero[name]):>12d}")
-    zeros = len(counters) - len(nonzero)
-    if zeros:
-        lines.append(f"  ({zeros} zero counter(s) omitted)")
-    for name, hist in sorted((folded.get("histograms") or {}).items()):
-        lines.append(
-            f"  {name}: count={int(hist.get('count', 0))} "
-            f"sum={float(hist.get('sum', 0.0)):.1f} "
-            f"buckets{list(hist.get('counts') or [])}"
-        )
+    # The manifest's fold: one aggregate, whichever reader asks.
+    folded = build_manifest(metric_events)["metrics"]
+    title = (f"metrics (repro.metrics/1, folded over {len(metric_events)} "
+             "cell snapshot(s))")
+    lines = [title, "-" * len(title)]
+    # name -> rendered value, for every instrument that recorded anything.
+    rendered: Dict[str, str] = {}
+    omitted = 0
+    for name, value in (folded.get("counters") or {}).items():
+        if value:
+            rendered[name] = f"{int(value):>12d}"
+        else:
+            omitted += 1
+    for name, gauge in (folded.get("gauges") or {}).items():
+        value = (gauge or {}).get("value")
+        if value:
+            value = float(value)
+            rendered[name] = (f"{int(value):>12d}" if value.is_integer()
+                              else f"{value:>12.3f}")
+        else:
+            omitted += 1
+    for name, hist in (folded.get("histograms") or {}).items():
+        if int(hist.get("count", 0)):
+            rendered[name] = (
+                f"count={int(hist['count'])} "
+                f"sum={float(hist.get('sum', 0.0)):.1f} "
+                f"buckets{list(hist.get('counts') or [])}"
+            )
+        else:
+            omitted += 1
+    groups: Dict[str, List[str]] = {}
+    for name in sorted(rendered):
+        groups.setdefault(_namespace(name), []).append(name)
+    headings = dict(_NAMESPACES)
+    order = [prefix for prefix, _ in _NAMESPACES]
+    order += sorted(prefix for prefix in groups if prefix not in headings)
+    for prefix in order:
+        heading = f"{headings.get(prefix, 'other')} ({prefix}*)"
+        if prefix not in groups:
+            lines.append(f"  {heading}: all zero")
+            continue
+        lines.append(f"  {heading}")
+        for name in groups[prefix]:
+            lines.append(f"    {name:<36s} {rendered[name]}")
+    if omitted:
+        lines.append(f"  ({omitted} zero instrument(s) omitted)")
+    lines.append("  derived rates:")
+    undefined = 0
+    for name, value in derived_rates(folded).items():
+        if value is None:
+            undefined += 1
+            continue
+        lines.append(f"    {name:<36s} {format_rate(name, value):>12s}")
+    if undefined:
+        lines.append(f"    ({undefined} rate(s) with a zero denominator "
+                     "omitted)")
     lines.append("")
     return lines
 
@@ -203,141 +255,6 @@ def _section_phases(events) -> List[str]:
                 f"    {phase:<12s} {seconds:>9.3f}s  {share:5.1f}%"
                 f"  x{count}"
             )
-        counters = event.get("counters") or {}
-        if counters:
-            rendered = ", ".join(
-                f"{name}={counters[name]}" for name in sorted(counters)
-            )
-            lines.append(f"    counters: {rendered}")
-    lines.append("")
-    return lines
-
-
-def _section_stages(events) -> List[str]:
-    lines = ["solver-stage win rates", "----------------------"]
-    stage_events = _of_kind(events, "solver_stages")
-    merged: Dict[str, Dict[str, float]] = {}
-    from repro.obs.stages import SOLVER_STAGES, merge_stage_dicts
-
-    for event in stage_events:
-        merge_stage_dicts(merged, event.get("stages") or {})
-    if not merged:
-        lines += ["  (no events of kind solver_stages — re-run with --trace)",
-                  ""]
-        return lines
-    lines.append(
-        f"  {'stage':<10s} {'attempts':>8s} {'finished':>8s} "
-        f"{'wins':>6s} {'win%':>6s} {'seconds':>9s}"
-    )
-    ordered = [s for s in SOLVER_STAGES if s in merged]
-    ordered += [s for s in sorted(merged) if s not in SOLVER_STAGES]
-    for stage in ordered:
-        stat = merged[stage]
-        finished = int(stat.get("finished", 0))
-        wins = int(stat.get("wins", 0))
-        rate = (wins / finished * 100.0) if finished else 0.0
-        lines.append(
-            f"  {stage:<10s} {int(stat.get('attempts', 0)):>8d} "
-            f"{finished:>8d} {wins:>6d} {rate:>5.1f}% "
-            f"{float(stat.get('seconds', 0.0)):>8.3f}s"
-        )
-    lines.append("")
-    return lines
-
-
-def _section_cache(events) -> List[str]:
-    lines = ["solve-cache traffic", "-------------------"]
-    cache_events = _of_kind(events, "cache_stats")
-    if not cache_events:
-        lines += ["  (no events of kind cache_stats — re-run with --trace)",
-                  ""]
-        return lines
-    lines.append(
-        f"  {'cell':<28s} {'enc hit':>8s} {'enc miss':>8s} "
-        f"{'evict':>6s} {'hit%':>6s} {'vskips':>7s} {'dedup':>6s}"
-    )
-    for event in cache_events:
-        hits = int(event.get("encoding_hits", 0))
-        misses = int(event.get("encoding_misses", 0))
-        lookups = hits + misses
-        rate = (hits / lookups * 100.0) if lookups else 0.0
-        lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} {hits:>8d} "
-            f"{misses:>8d} {int(event.get('encoding_evictions', 0)):>6d} "
-            f"{rate:>5.1f}% {int(event.get('verdict_skips', 0)):>7d} "
-            f"{int(event.get('dedup_links', 0)):>6d}"
-        )
-    lines.append("")
-    return lines
-
-
-def _section_kernel(events) -> List[str]:
-    lines = ["simulation kernel", "-----------------"]
-    kernel_events = _of_kind(events, "kernel_stats")
-    if not kernel_events:
-        lines += ["  (no events of kind kernel_stats — STCG cells only, "
-                  "with --trace)", ""]
-        return lines
-    lines.append(
-        f"  {'cell':<28s} {'state':>8s} {'special':>8s} "
-        f"{'fallback':>8s} {'steps':>9s}"
-    )
-    for event in kernel_events:
-        enabled = bool(event.get("enabled"))
-        lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} "
-            f"{'on' if enabled else 'off':>8s} "
-            f"{int(event.get('specialized_blocks', 0)):>8d} "
-            f"{int(event.get('fallback_blocks', 0)):>8d} "
-            f"{int(event.get('kernel_steps', 0)):>9d}"
-        )
-        fallback_classes = event.get("fallback_classes") or []
-        if fallback_classes:
-            lines.append(
-                "    fallback classes: " + ", ".join(map(str, fallback_classes))
-            )
-    lines.append("")
-    return lines
-
-
-def _section_solverc(events) -> List[str]:
-    lines = ["solver kernel", "-------------"]
-    solverc_events = _of_kind(events, "solverc_stats")
-    if not solverc_events:
-        lines += ["  (no events of kind solverc_stats — STCG and SLDV "
-                  "cells only, with --trace)", ""]
-        return lines
-    lines.append(
-        f"  {'cell':<28s} {'state':>8s} {'compiled':>8s} "
-        f"{'batched':>8s} {'scalar':>7s} {'cached':>7s}"
-    )
-    for event in solverc_events:
-        enabled = bool(event.get("enabled"))
-        batched = (
-            int(event.get("candidates_batched", 0))
-            + int(event.get("case_batched", 0))
-        )
-        scalar = (
-            int(event.get("candidates_scalar", 0))
-            + int(event.get("case_interpreted", 0))
-        )
-        lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} "
-            f"{'on' if enabled else 'off':>8s} "
-            f"{int(event.get('constraints_compiled', 0)):>8d} "
-            f"{batched:>8d} {scalar:>7d} "
-            f"{int(event.get('contract_cached', 0)):>7d}"
-        )
-        fallbacks = {
-            name: int(event.get(name, 0))
-            for name in ("compile_fallbacks", "batch_fallbacks")
-            if int(event.get(name, 0))
-        }
-        if fallbacks:
-            lines.append(
-                "    fallbacks: "
-                + ", ".join(f"{k}={v}" for k, v in sorted(fallbacks.items()))
-            )
     lines.append("")
     return lines
 
@@ -356,66 +273,6 @@ def _section_tree_growth(events) -> List[str]:
         lines.append(
             f"  {_cell_label(_cell_key(event)):<28s} "
             f"|{_spark(values)}| {final} nodes"
-        )
-    lines.append("")
-    return lines
-
-
-def _section_store(events) -> List[str]:
-    lines = ["warm-start store (repro.store/1)",
-             "--------------------------------"]
-    store_events = _of_kind(events, "store_stats")
-    if not store_events:
-        lines += ["  (no events of kind store_stats — run with --store DIR)",
-                  ""]
-        return lines
-    lines.append(
-        f"  {'cell':<28s} {'reads':>6s} {'hits':>5s} {'rej':>4s} "
-        f"{'writes':>6s} {'verd':>6s} {'mark':>5s} {'snap':>5s} "
-        f"{'enc':>5s} {'seeds':>6s}"
-    )
-    for event in store_events:
-        lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} "
-            f"{int(event.get('reads', 0)):>6d} "
-            f"{int(event.get('hits', 0)):>5d} "
-            f"{int(event.get('rejected', 0)):>4d} "
-            f"{int(event.get('writes', 0)):>6d} "
-            f"{int(event.get('restored_verdicts', 0)):>6d} "
-            f"{int(event.get('restored_markers', 0)):>5d} "
-            f"{int(event.get('restored_snapshots', 0)):>5d} "
-            f"{int(event.get('restored_encodings', 0)):>5d} "
-            f"{int(event.get('corpus_seeds', 0)):>6d}"
-        )
-    lines.append("")
-    return lines
-
-
-def _section_fuzz(events) -> List[str]:
-    lines = ["fuzz campaigns", "--------------"]
-    fuzz_events = _of_kind(events, "fuzz_stats")
-    if not fuzz_events:
-        lines += ["  (no events of kind fuzz_stats — Fuzz/Hybrid cells only)",
-                  ""]
-        return lines
-    lines.append(
-        f"  {'cell':<28s} {'execs':>7s} {'ex/s':>7s} {'corpus':>7s} "
-        f"{'seeds':>6s} {'targets':>8s} {'fed':>5s}"
-    )
-    for event in fuzz_events:
-        targets = event.get("targets")
-        target_cell = (
-            f"{event.get('targets_covered', 0)}/{targets}"
-            if targets is not None else "-"
-        )
-        lines.append(
-            f"  {_cell_label(_cell_key(event)):<28s} "
-            f"{int(event.get('executions', 0)):>7d} "
-            f"{float(event.get('execs_per_s', 0.0)):>7.0f} "
-            f"{int(event.get('corpus_size', 0)):>7d} "
-            f"{int(event.get('seed_entries', 0)):>6d} "
-            f"{target_cell:>8s} "
-            f"{int(event.get('tree_nodes', 0)):>5d}"
         )
     lines.append("")
     return lines

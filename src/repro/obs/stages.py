@@ -25,9 +25,8 @@ __all__ = ["CACHE_COUNTERS", "SOLVER_STAGES", "SolverStageMetrics",
 SOLVER_STAGES = ("fold", "contract", "sample", "split", "avm")
 
 #: Canonical names of the solve-cache counters, as reported by
-#: :meth:`repro.cache.solve.SolveCache.stats` and mirrored into trace
-#: counters, ``cache_stats`` telemetry events and the report's cache
-#: section.
+#: :meth:`repro.cache.solve.SolveCache.stats` and projected into the
+#: ``cache.*`` metrics instruments.
 CACHE_COUNTERS = (
     "encoding_hits",
     "encoding_misses",

@@ -1,14 +1,17 @@
 """Tracing primitives: the :class:`Tracer` protocol and its implementations.
 
-Three hooks cover everything the generators need:
+Two hooks cover everything the generators need:
 
 * ``span(name, **tags)`` — a context manager timing one phase of work
   (solve scan, one solver call, one simulation step, ...);
-* ``count(name, n)``     — a named monotone counter;
 * ``sample(series, t, value)`` — one point of a time series (state-tree
   growth, queue depths, ...).
 
-:data:`NULL_TRACER` implements all three as no-ops sharing a single
+Counters are not a tracer concern: every run counts its work in its own
+accumulators and projects them into the ``repro.metrics/1`` registry
+(:mod:`repro.metrics`), traced or not.
+
+:data:`NULL_TRACER` implements both as no-ops sharing a single
 stateless context manager, so instrumented code pays only an attribute
 lookup and a call when tracing is off — the overhead budget for a fully
 disabled tracer is <3% of generator wall-clock.  :class:`SpanTracer` keeps
@@ -61,8 +64,6 @@ class Tracer(Protocol):
 
     def span(self, name: str, **tags: object) -> ContextManager: ...
 
-    def count(self, name: str, n: int = 1) -> None: ...
-
     def sample(self, series: str, t: float, value: float) -> None: ...
 
 
@@ -89,9 +90,6 @@ class NullTracer:
 
     def span(self, name: str, **tags: object) -> _NullSpan:
         return _NULL_SPAN
-
-    def count(self, name: str, n: int = 1) -> None:
-        pass
 
     def sample(self, series: str, t: float, value: float) -> None:
         pass
@@ -122,7 +120,7 @@ class _RecordingSpan:
 
 
 class SpanTracer:
-    """Records every span verbatim (plus counters and series).
+    """Records every span verbatim (plus series).
 
     Unbounded memory — meant for tests and short diagnostic runs; long
     runs should use :class:`PhaseProfiler`.
@@ -133,7 +131,6 @@ class SpanTracer:
     def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self.spans: List[Span] = []
-        self.counters: Dict[str, int] = {}
         self.series: Dict[str, List[Tuple[float, float]]] = {}
 
     def span(self, name: str, **tags: object) -> _RecordingSpan:
@@ -141,9 +138,6 @@ class SpanTracer:
 
     def _finish(self, name, tags, start, end) -> None:
         self.spans.append(Span(name, start, end, tags))
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
 
     def sample(self, series: str, t: float, value: float) -> None:
         self.series.setdefault(series, []).append((t, value))
@@ -205,7 +199,6 @@ class PhaseProfiler:
         self._targets: Dict[str, List[float]] = {}  # target -> [count, seconds]
         self._span_seen = 0
         self.samples: List[Span] = []
-        self.counters: Dict[str, int] = {}
         self.series: Dict[str, List[Tuple[float, float]]] = {}
 
     def span(self, name: str, **tags: object) -> _RecordingSpan:
@@ -228,9 +221,6 @@ class PhaseProfiler:
         self._span_seen += 1
         if self.sample_every and self._span_seen % self.sample_every == 0:
             self.samples.append(Span(name, start, end, dict(tags)))
-
-    def count(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
 
     def sample(self, series: str, t: float, value: float) -> None:
         points = self.series.setdefault(series, [])
@@ -264,11 +254,10 @@ def _sorted_targets(targets: Dict[str, List[float]]) -> List[Dict[str, object]]:
 
 
 def _summary(tracer) -> Dict[str, object]:
-    """The common ``{phase_totals, targets, counters, series}`` digest."""
+    """The common ``{phase_totals, targets, series}`` digest."""
     return {
         "phase_totals": tracer.phase_totals(),
         "targets": tracer.target_totals(),
-        "counters": dict(tracer.counters),
         "series": {
             name: [[round(t, 6), value] for t, value in points]
             for name, points in tracer.series.items()

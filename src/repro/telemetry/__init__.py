@@ -16,7 +16,7 @@ from repro.telemetry.events import (
     TRACE_KINDS,
     TRACE_SCHEMA,
     build_manifest,
-    emit_trace_events,
+    emit_result,
     read_events,
 )
 from repro.telemetry.explain import load_provenance, render_explain
@@ -33,7 +33,7 @@ __all__ = [
     "build_manifest",
     "cell_rows",
     "diff_runs",
-    "emit_trace_events",
+    "emit_result",
     "find_regressions",
     "load_provenance",
     "load_run",

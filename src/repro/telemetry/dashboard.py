@@ -253,28 +253,34 @@ def _provenance_section(manifest: Dict[str, object]) -> List[str]:
 
 
 def _fuzz_section(manifest: Dict[str, object]) -> List[str]:
-    fuzz = manifest.get("fuzz") or {}
+    metrics = manifest.get("metrics") or {}
+    counters = metrics.get("counters") or {}
     out = ["<h2>Fuzz campaigns</h2>"]
-    if not fuzz:
+    if not counters.get("fuzz.cells"):
         out.append(
-            '<p class="note">(no fuzz section — Fuzz/Hybrid cells only)</p>'
+            '<p class="note">(no fuzz campaigns — Fuzz/Hybrid cells only)</p>'
         )
         return out
+    corpus = ((metrics.get("gauges") or {}).get("fuzz.corpus_size") or {})
     out.append('<div class="tiles">')
-    out.append(_tile("fuzz cells", str(int(fuzz.get("cells", 0)))))
-    out.append(_tile("executions", str(int(fuzz.get("executions", 0)))))
-    out.append(_tile("corpus size", str(int(fuzz.get("corpus_size", 0)))))
-    out.append(_tile("retained", str(int(fuzz.get("retained", 0)))))
-    out.append(_tile("seed entries", str(int(fuzz.get("seed_entries", 0)))))
-    targets = int(fuzz.get("targets", 0))
+    out.append(_tile("fuzz cells", str(int(counters["fuzz.cells"]))))
+    out.append(_tile("executions", str(int(counters.get("fuzz.executions", 0)))))
+    out.append(_tile("corpus size (max)", str(int(corpus.get("value") or 0))))
+    out.append(_tile("retained", str(int(counters.get("fuzz.retained", 0)))))
+    out.append(
+        _tile("seed entries", str(int(counters.get("fuzz.seed_entries", 0))))
+    )
+    targets = int(counters.get("fuzz.targets", 0))
     if targets:
         out.append(
             _tile(
                 "hybrid targets covered",
-                f"{int(fuzz.get('targets_covered', 0))}/{targets}",
+                f"{int(counters.get('fuzz.targets_covered', 0))}/{targets}",
             )
         )
-        out.append(_tile("tree nodes fed", str(int(fuzz.get("tree_nodes", 0)))))
+        out.append(
+            _tile("tree nodes fed", str(int(counters.get("fuzz.tree_nodes", 0))))
+        )
     out.append("</div>")
     return out
 
@@ -357,7 +363,7 @@ def render_dashboard(
             "Metric counters",
             [[name, value] for name, value in sorted(counters.items())],
             ["Counter", "Value"],
-            "no metrics registry snapshot — traced runs only",
+            "no metrics registry snapshot in this run",
         )
     )
     body.extend(

@@ -7,7 +7,8 @@ so the two input kinds are interchangeable) — and reports:
 
 * coverage deltas per (model, tool) and the failed-cell count,
 * phase-time deltas (traced runs),
-* cache hit-rate and kernel/solverc fallback-rate deltas,
+* the derived-rate deltas of :data:`repro.metrics.RATES` (cache hit rate,
+  kernel/solverc fallback rates, stage win rates, fuzz throughput),
 * every changed counter of the unified ``repro.metrics/1`` registry,
 * *which* objectives regressed — covered in the baseline but uncovered
   in the candidate — when both runs carry ``repro.provenance/1``
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.metrics import derived_rates, format_rate
 from repro.telemetry.events import (
     MANIFEST_SCHEMA,
     build_manifest,
@@ -40,6 +42,7 @@ __all__ = [
     "diff_runs",
     "find_regressions",
     "load_run",
+    "manifest_rates",
     "render_diff",
 ]
 
@@ -51,7 +54,9 @@ def load_run(path: str) -> Dict[str, object]:
     """Load one run as a manifest document.
 
     ``*.jsonl`` paths are treated as event streams and summarized;
-    anything else must be a ``repro.run-manifest/1`` JSON document.
+    anything else must be a :data:`MANIFEST_SCHEMA` JSON document.  An
+    older manifest version is refused by name: its counter sections were
+    laid out differently, so reading it would silently compare zeros.
     """
     if path.endswith(".jsonl"):
         return build_manifest(read_events(path))
@@ -65,6 +70,13 @@ def load_run(path: str) -> Dict[str, object]:
     if not isinstance(document, dict):
         raise ReproError(f"{path}: expected a manifest object")
     schema = document.get("schema")
+    if isinstance(schema, str) and schema.startswith("repro.run-manifest/") \
+            and schema != MANIFEST_SCHEMA:
+        raise ReproError(
+            f"{path}: found a {schema} manifest, but this version of repro "
+            f"reads {MANIFEST_SCHEMA} only; re-run the producer with this "
+            "version to regenerate it"
+        )
     if schema != MANIFEST_SCHEMA:
         raise ReproError(
             f"{path}: schema {schema!r} is not {MANIFEST_SCHEMA!r} "
@@ -73,42 +85,15 @@ def load_run(path: str) -> Dict[str, object]:
     return document
 
 
-def _rate(numerator: float, denominator: float) -> Optional[float]:
-    """A ratio, or None when the denominator never ticked."""
-    return (numerator / denominator) if denominator else None
-
-
-def cache_hit_rate(manifest: Dict[str, object]) -> Optional[float]:
-    """Solve-cache hit rate: hits over (hits + misses), both LRUs."""
-    cache = manifest.get("cache") or {}
-    hits = int(cache.get("encoding_hits", 0)) + int(
-        cache.get("compiled_hits", 0)
-    )
-    misses = int(cache.get("encoding_misses", 0)) + int(
-        cache.get("compiled_misses", 0)
-    )
-    return _rate(hits, hits + misses)
-
-
 def _counters(manifest: Dict[str, object]) -> Dict[str, int]:
     metrics = manifest.get("metrics") or {}
     return dict(metrics.get("counters") or {})
 
 
-def kernel_fallback_rate(manifest: Dict[str, object]) -> Optional[float]:
-    """Sim-kernel fallback blocks over all specialized+fallback blocks."""
-    counters = _counters(manifest)
-    fallback = int(counters.get("kernel.fallback_blocks", 0))
-    specialized = int(counters.get("kernel.specialized_blocks", 0))
-    return _rate(fallback, fallback + specialized)
-
-
-def solverc_fallback_rate(manifest: Dict[str, object]) -> Optional[float]:
-    """Solver-kernel scalar candidates over all candidate evaluations."""
-    counters = _counters(manifest)
-    scalar = int(counters.get("solverc.candidates_scalar", 0))
-    batched = int(counters.get("solverc.candidates_batched", 0))
-    return _rate(scalar, scalar + batched)
+def manifest_rates(manifest: Dict[str, object]) -> Dict[str, Optional[float]]:
+    """Every shared derived rate (:data:`repro.metrics.RATES`) over a
+    manifest's folded ``metrics``; None where a denominator never ticked."""
+    return derived_rates(manifest.get("metrics") or {})
 
 
 @dataclass(frozen=True)
@@ -173,17 +158,9 @@ def diff_runs(
         )
         for phase in sorted(set(old_phases) | set(new_phases))
     }
-    rates = {
-        "cache_hit": (cache_hit_rate(baseline), cache_hit_rate(candidate)),
-        "kernel_fallback": (
-            kernel_fallback_rate(baseline),
-            kernel_fallback_rate(candidate),
-        ),
-        "solverc_fallback": (
-            solverc_fallback_rate(baseline),
-            solverc_fallback_rate(candidate),
-        ),
-    }
+    old_rates = manifest_rates(baseline)
+    new_rates = manifest_rates(candidate)
+    rates = {name: (old_rates[name], new_rates[name]) for name in old_rates}
     old_counters = _counters(baseline)
     new_counters = _counters(candidate)
     counters = {
@@ -291,10 +268,6 @@ def find_regressions(
     return problems
 
 
-def _fmt_rate(value: Optional[float]) -> str:
-    return "--" if value is None else f"{value:6.1%}"
-
-
 def render_diff(diff: RunDiff, problems: Optional[List[str]] = None) -> str:
     """The ``repro diff`` report text."""
     lines: List[str] = ["== coverage =="]
@@ -329,7 +302,8 @@ def render_diff(diff: RunDiff, problems: Optional[List[str]] = None) -> str:
     for name, (old, new) in diff.rates.items():
         label = name.replace("_", " ")
         lines.append(
-            f"  {label:18s} {_fmt_rate(old)} -> {_fmt_rate(new)}"
+            f"  {label:18s} {format_rate(name, old):>7s} -> "
+            f"{format_rate(name, new):>7s}"
         )
     lines.append("")
     lines.append("== phase seconds ==")

@@ -12,18 +12,21 @@ Event schema (``repro.events/1``) — every line is an object with:
 * ``seq``   — 0-based monotonically increasing sequence number,
 * ``t``     — seconds since the log was opened (monotonic clock),
 * ``event`` — the kind, one of ``matrix_started``, ``cell_started``,
-  ``cell_finished``, ``cell_failed``, ``timeline_point``,
+  ``cell_finished``, ``cell_failed``, ``timeline_point``, ``metrics``,
   ``matrix_finished``, ``run_started``, ``run_finished``,
 * kind-specific payload fields (model, tool, repetition, seed, coverage
   numbers, solver ``stats``, failure ``kind``/``message``, ...).
 
+Every finished cell — traced or not, whatever the tool — emits exactly
+one ``metrics`` event (tagged ``schema: repro.metrics/1``) carrying the
+run's registry snapshot, ``GenerationResult.metrics``.  It is the only
+path counters take out of a run; :func:`emit_result` is the one per-cell
+emitter the matrix executor and ``api.generate`` share.
+
 Traced runs additionally emit the ``repro.trace/1`` kinds (each tagged
 ``schema: repro.trace/1``): ``phase_totals`` (per-cell phase time
-breakdown + counters), ``solver_stages`` (per-stage attempt/win/time),
-``tree_growth`` (state-tree size samples), ``cache_stats`` (solve-cache
-hit/miss/eviction/skip counters), ``kernel_stats`` /``solverc_stats``
-(sim- and solver-kernel compiled-vs-fallback traffic) and ``span``
-(per-target solver time aggregates).  See :func:`emit_trace_events`.
+breakdown), ``tree_growth`` (state-tree size samples) and ``span``
+(per-target solver time aggregates).
 
 Runs with the provenance ledger on additionally emit one ``provenance``
 event per cell (tagged ``schema: repro.provenance/1``) carrying the
@@ -31,22 +34,12 @@ objective-level coverage snapshot; the manifest folds them per
 (model, tool) across repetitions via
 :func:`repro.provenance.merge_provenance`.
 
-``Fuzz``/``Hybrid`` cells additionally emit one ``fuzz_stats`` event
-(campaign counters + executions/sec); the manifest folds only their
-deterministic counters into a ``fuzz`` section (see
-:data:`_FUZZ_TOTALS`).
-
-Cells with the warm-start store attached (``repro.store``) emit one
-``store_stats`` event (read/hit/miss/rejected/write traffic plus per-fold
-restore counts); the manifest folds them into a ``store`` section (see
-:data:`_STORE_TOTALS`).
-
-The manifest is a single JSON document derived from the event stream:
-counts, per-(model, tool) coverage aggregates, failures, totals over the
-generators' solver statistics, for traced runs ``phase_seconds`` and
-``solver_stages`` aggregates, and for provenance-bearing runs the merged
-``provenance`` section consumed by ``repro explain`` / ``repro
-dashboard``.
+The manifest (``repro.run-manifest/2``) is a single JSON document derived
+from the event stream: counts, per-(model, tool) coverage aggregates,
+failures, the ``metrics`` snapshots folded into one (the only counter
+aggregate), for traced runs ``phase_seconds``, and for provenance-bearing
+runs the merged ``provenance`` section consumed by ``repro explain`` /
+``repro dashboard``.
 """
 
 from __future__ import annotations
@@ -57,124 +50,21 @@ import time
 from typing import Dict, IO, List, Optional
 
 from repro.errors import ReproError
-from repro.metrics import empty_snapshot, fold_snapshots
-from repro.obs.stages import CACHE_COUNTERS, merge_stage_dicts
-from repro.provenance import merge_provenance
-from repro.solverc.compiler import SolvercStats
+from repro.metrics import METRICS_SCHEMA, empty_snapshot, fold_snapshots
+from repro.provenance import PROVENANCE_SCHEMA, merge_provenance
 
 #: Version tag embedded in every stream and manifest.
 EVENT_SCHEMA = "repro.events/1"
-MANIFEST_SCHEMA = "repro.run-manifest/1"
+MANIFEST_SCHEMA = "repro.run-manifest/2"
 #: Version tag carried by every deep-tracing event.
 TRACE_SCHEMA = "repro.trace/1"
 
 #: The deep-tracing event kinds (all tagged with :data:`TRACE_SCHEMA`).
-#: ``metrics`` carries the per-cell unified ``repro.metrics/1`` registry
-#: snapshot the legacy counter kinds are derived from.
-TRACE_KINDS = (
-    "span",
-    "phase_totals",
-    "solver_stages",
-    "tree_growth",
-    "cache_stats",
-    "kernel_stats",
-    "solverc_stats",
-    "metrics",
-)
+TRACE_KINDS = ("span", "phase_totals", "tree_growth")
 
 #: Solver targets forwarded per traced cell (slowest first); bounds the
 #: number of ``span`` events a cell can contribute.
 _MAX_TARGET_SPANS = 20
-
-#: Solver/executor counters summed into the manifest when cells carry them.
-_STAT_TOTALS = (
-    "solver_calls",
-    "sat",
-    "unsat",
-    "unknown",
-    "steps_executed",
-    "random_sequences",
-    "simulations",
-    "const_false_skips",
-    "verdict_skips",
-)
-
-#: Counters summed into the manifest's ``cache`` aggregate from
-#: ``cache_stats`` events (the :data:`repro.obs.stages.CACHE_COUNTERS`
-#: names plus the generator-side skip/dedup counters).
-_CACHE_TOTALS = CACHE_COUNTERS + ("verdict_skips", "dedup_links")
-
-#: Deterministic fuzz counters summed into the manifest's ``fuzz``
-#: section from ``Fuzz``/``Hybrid`` cell stats (the ``fuzz_*`` keys).
-#: Wall-clock derived numbers (``fuzz_wall_s``, executions/sec) are
-#: deliberately excluded: the manifest must stay bit-identical across
-#: workers=1/N, so they live only in ``fuzz_stats`` events.
-_FUZZ_TOTALS = (
-    "executions",
-    "retained",
-    "rejected",
-    "corpus_size",
-    "seed_entries",
-    "steps",
-    "tree_nodes",
-    "targets",
-    "targets_covered",
-)
-
-#: Warm-start store counters summed into the manifest's ``store`` section
-#: from cells whose generator had a store attached (the ``store_*`` /
-#: ``restored_*`` stats keys).  Like :data:`_FUZZ_TOTALS`, the key set is
-#: fixed so warm and cold runs differ only in the numbers.
-_STORE_TOTALS = (
-    "reads",
-    "hits",
-    "misses",
-    "rejected",
-    "writes",
-    "restored_verdicts",
-    "restored_markers",
-    "restored_snapshots",
-    "restored_encodings",
-    "corpus_seeds",
-)
-
-#: The subset of :data:`_STORE_TOTALS` whose stats keys carry a
-#: ``store_`` prefix (the rest are used verbatim).
-_STORE_PREFIXED = ("reads", "hits", "misses", "rejected", "writes")
-
-
-def store_stats_payload(stats: Dict[str, object]) -> Dict[str, object]:
-    """The ``store_stats`` event payload from a result's store counters.
-
-    Strips the ``store_`` prefix off the traffic counters and carries the
-    ``restored_*``/``corpus_seeds`` fold counts verbatim, always with the
-    full key set.
-    """
-    payload: Dict[str, object] = {}
-    for key in _STORE_TOTALS:
-        source = f"store_{key}" if key in _STORE_PREFIXED else key
-        payload[key] = int(stats.get(source, 0))
-    return payload
-
-
-def fuzz_stats_payload(stats: Dict[str, object]) -> Dict[str, object]:
-    """The ``fuzz_stats`` event payload from a result's ``fuzz_*`` stats.
-
-    Strips the ``fuzz_`` prefix, and derives the executions/sec rate from
-    the campaign's wall time (events carry wall-clock data anyway — the
-    determinism contract is on manifests, not streams).
-    """
-    payload = {
-        key[len("fuzz_"):]: value
-        for key, value in stats.items()
-        if key.startswith("fuzz_")
-    }
-    wall = float(payload.get("wall_s") or 0.0)
-    executions = int(payload.get("executions") or 0)
-    payload["execs_per_s"] = (
-        round(executions / wall, 3) if wall > 0 else 0.0
-    )
-    return payload
 
 
 class EventLog:
@@ -300,11 +190,6 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
     )
     cells_failed = of_kind("cell_failed")
     coverage: Dict[str, Dict[str, Dict[str, object]]] = {}
-    totals = {key: 0 for key in _STAT_TOTALS}
-    fuzz_totals = {key: 0 for key in _FUZZ_TOTALS}
-    fuzz_cells = 0
-    store_totals = {key: 0 for key in _STORE_TOTALS}
-    store_cells = 0
     duration = 0.0
     for cell in cells_ok:
         per_tool = coverage.setdefault(str(cell["model"]), {})
@@ -316,18 +201,6 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
             agg[metric] = float(agg[metric]) + float(cell[metric])
         agg["runs"] = int(agg["runs"]) + 1
         duration += float(cell.get("duration_s", 0.0))
-        stats = cell.get("stats") or {}
-        for key in _STAT_TOTALS:
-            if key in stats:
-                totals[key] += int(stats[key])
-        if "fuzz_executions" in stats:
-            fuzz_cells += 1
-            for key in _FUZZ_TOTALS:
-                fuzz_totals[key] += int(stats.get(f"fuzz_{key}", 0))
-        if "store_reads" in stats:
-            store_cells += 1
-            for key, value in store_stats_payload(stats).items():
-                store_totals[key] += int(value)
     for per_tool in coverage.values():
         for agg in per_tool.values():
             for metric in ("decision", "condition", "mcdc"):
@@ -346,20 +219,9 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
         phase: round(seconds, 6)
         for phase, seconds in phase_seconds.items()
     }
-    solver_stages: Dict[str, Dict[str, float]] = {}
-    for event in of_kind("solver_stages"):
-        merge_stage_dicts(solver_stages, event.get("stages") or {})
-    # Solve-cache traffic (cache_stats events, when present).  Like
-    # stat_totals, the key set is fixed so warm and cold runs differ only
-    # in the numbers.
-    cache_totals = {key: 0 for key in _CACHE_TOTALS}
-    for event in of_kind("cache_stats"):
-        for key in _CACHE_TOTALS:
-            if key in event:
-                cache_totals[key] += int(event[key])
-    # The unified per-cell registry snapshots fold into one run-level
-    # snapshot; fold_snapshots re-sorts by the identity key, so this too
-    # is independent of arrival order.
+    # The per-cell registry snapshots fold into one run-level snapshot —
+    # the manifest's only counter aggregate; fold_snapshots re-sorts by
+    # the identity key, so this too is independent of arrival order.
     metrics_events = of_kind("metrics")
     metrics: Dict[str, object] = {}
     if metrics_events:
@@ -401,18 +263,7 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
             else (float(events[-1].get("t", 0.0)) if events else 0.0)
         ),
         "cell_seconds": round(duration, 6),
-        # Always every key: a zero counter and an absent counter must not
-        # change the manifest's key set run-to-run.
-        "stat_totals": dict(totals),
-        # Deterministic fuzz aggregate (count-based; no wall-clock
-        # numbers, so workers=1 and workers=N manifests stay identical).
-        "fuzz": {"cells": fuzz_cells, **fuzz_totals},
-        # Warm-start store traffic (cells with a store attached).  All
-        # counts are deterministic given the store's starting contents.
-        "store": {"cells": store_cells, **store_totals},
         "phase_seconds": phase_seconds,
-        "solver_stages": solver_stages,
-        "cache": cache_totals,
         "metrics": metrics,
         "provenance": provenance,
         "stalls": stalls,
@@ -426,70 +277,71 @@ def build_manifest(events: List[Dict[str, object]]) -> Dict[str, object]:
     }
 
 
-def emit_trace_events(
+def emit_result(
+    log: EventLog,
+    kind: str,
+    identity: Dict[str, object],
+    result,
+    duration_s: float,
+    point_tag: Optional[Dict[str, object]] = None,
+) -> None:
+    """Emit every event of one finished run (a matrix cell or a single run).
+
+    ``kind`` is ``cell_finished`` or ``run_finished``; ``identity`` carries
+    the cell-identifying fields (model, tool, repetition, ...) stamped
+    onto every per-cell event, ``point_tag`` the fields stamped onto its
+    ``timeline_point`` events.  Emits the finish record, the timeline,
+    exactly one ``metrics`` event, the ``repro.trace/1`` kinds when the
+    run was traced, and the ``provenance`` event when the ledger was on.
+    """
+    log.emit(
+        kind,
+        **identity,
+        duration_s=round(duration_s, 6),
+        decision=result.decision,
+        condition=result.condition,
+        mcdc=result.mcdc,
+        cases=len(result.suite),
+        stats=dict(result.stats),
+    )
+    for point in result.timeline:
+        log.emit(
+            "timeline_point",
+            **(point_tag or {}),
+            t=round(point.t, 6),
+            decision=point.decision_coverage,
+            origin=point.origin,
+            new_branches=point.new_branches,
+        )
+    log.emit("metrics", **identity, schema=METRICS_SCHEMA,
+             snapshot=result.metrics)
+    _emit_trace_events(log, identity, result.trace_data)
+    if result.provenance:
+        log.emit(
+            "provenance",
+            **identity,
+            schema=PROVENANCE_SCHEMA,
+            provenance=result.provenance,
+        )
+
+
+def _emit_trace_events(
     log: EventLog,
     identity: Dict[str, object],
     trace_data: Dict[str, object],
 ) -> None:
-    """Forward one run's ``trace_data`` aggregates as ``repro.trace/1`` events.
+    """Forward one run's ``trace_data`` as ``repro.trace/1`` events.
 
-    ``identity`` carries the cell-identifying fields (model, tool,
-    repetition, ...) stamped onto every emitted event.  No-op when the run
-    was not traced.
+    No-op when the run was not traced.
     """
     if not trace_data:
         return
-    snapshot = trace_data.get("metrics") or {}
-    if snapshot:
-        # The unified registry snapshot; the legacy counter kinds below
-        # are views over exactly this document.
-        log.emit("metrics", **identity, schema=TRACE_SCHEMA, snapshot=snapshot)
     log.emit(
         "phase_totals",
         **identity,
         schema=TRACE_SCHEMA,
         phases=trace_data.get("phase_totals") or {},
-        counters=trace_data.get("counters") or {},
     )
-    log.emit(
-        "solver_stages",
-        **identity,
-        schema=TRACE_SCHEMA,
-        stages=trace_data.get("solver_stages") or {},
-    )
-    cache = trace_data.get("cache") or {}
-    if cache:
-        log.emit(
-            "cache_stats",
-            **identity,
-            schema=TRACE_SCHEMA,
-            **{key: int(cache.get(key, 0)) for key in _CACHE_TOTALS},
-            unique_states=int(cache.get("unique_states", 0)),
-        )
-    kernel = trace_data.get("kernel") or {}
-    if kernel:
-        log.emit(
-            "kernel_stats",
-            **identity,
-            schema=TRACE_SCHEMA,
-            enabled=bool(kernel.get("enabled")),
-            specialized_blocks=int(kernel.get("specialized_blocks", 0)),
-            fallback_blocks=int(kernel.get("fallback_blocks", 0)),
-            fallback_classes=list(kernel.get("fallback_classes") or []),
-            kernel_steps=int(kernel.get("kernel_steps", 0)),
-        )
-    solverc = trace_data.get("solverc") or {}
-    if solverc:
-        log.emit(
-            "solverc_stats",
-            **identity,
-            schema=TRACE_SCHEMA,
-            enabled=bool(solverc.get("enabled")),
-            **{
-                key: int(solverc.get(key, 0))
-                for key in SolvercStats.KEYS
-            },
-        )
     growth = trace_data.get("tree_growth") or []
     if growth:
         log.emit(

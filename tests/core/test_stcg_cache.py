@@ -140,9 +140,10 @@ class TestGeneratorCacheWiring:
         ):
             assert key in cache_section
         assert cache_section["unique_states"] == generator.tree.unique_states()
-        counters = result.trace_data["counters"]
-        assert counters["encoding_misses"] > 0
-        assert counters["dedup_links"] == generator.tree.dedup_links
+        counters = result.metrics["counters"]
+        assert counters["cache.encoding_misses"] == \
+            cache_section["encoding_misses"] > 0
+        assert counters["cache.dedup_links"] == generator.tree.dedup_links
 
     def test_dedup_links_occur_on_state_revisits(self):
         compiled = build_queue_model()

@@ -39,6 +39,14 @@ def _comparable(manifest):
         k: v for k, v in (manifest.get("config") or {}).items()
         if k != "workers"
     }
+    # So are the metrics' wall-clock gauges (``*.seconds``); counters,
+    # histograms and the max-gauges (sizes, enabled flags) must match.
+    metrics = dict(manifest["metrics"])
+    metrics["gauges"] = {
+        name: gauge for name, gauge in metrics["gauges"].items()
+        if not name.endswith(".seconds")
+    }
+    stripped["metrics"] = metrics
     return stripped
 
 
@@ -72,10 +80,11 @@ class TestManifestIdentity:
         serial = _matrix(1)
         parallel = _matrix(2)
         assert _comparable(serial.manifest) == _comparable(parallel.manifest)
-        fuzz = serial.manifest["fuzz"]
-        assert fuzz["cells"] == 4
-        assert fuzz["executions"] > 0
-        assert fuzz["corpus_size"] > 0
+        metrics = serial.manifest["metrics"]
+        assert metrics["counters"]["fuzz.cells"] == 4
+        assert metrics["counters"]["fuzz.executions"] > 0
+        # A max-gauge: the largest corpus of any cell, not a per-cell sum.
+        assert metrics["gauges"]["fuzz.corpus_size"]["value"] > 0
 
     def test_coverage_aggregates_identical(self):
         serial = _matrix(1)

@@ -5,8 +5,6 @@ import os
 
 import pytest
 
-from repro.core.config import StcgConfig
-from repro.core.stcg import StcgGenerator
 from repro.errors import ReproError
 from repro.exec import (
     HEARTBEAT_SCHEMA,
@@ -246,20 +244,6 @@ def _suite_content(result):
 class TestObservationDoesNotPerturb:
     """Fixed-seed suites must be bit-identical with observability on or off."""
 
-    def _run(self, **overrides):
-        compiled = build_counter_model()
-        config = StcgConfig(budget_s=5.0, seed=7, **overrides)
-        # A frozen clock removes timestamp jitter entirely: the run ends
-        # on full coverage, and the suite text must then be bit-identical.
-        result = StcgGenerator(compiled, config, clock=lambda: 0.0).run()
-        return result.suite.to_text(), dict(result.stats)
-
-    def test_metrics_flag_does_not_change_the_suite(self):
-        on_suite, on_stats = self._run(metrics=True, trace=True)
-        off_suite, off_stats = self._run(metrics=False, trace=True)
-        assert on_suite == off_suite
-        assert on_stats == off_stats
-
     def test_heartbeats_do_not_change_the_suite(self, tmp_path):
         baseline = execute_matrix(
             [TINY], ("STCG",), budget_s=5.0, repetitions=1, seed=7, workers=1,
@@ -277,19 +261,20 @@ class TestObservationDoesNotPerturb:
 class TestWorkerMergeEquivalence:
     """workers=1 and workers=N fold to identical metric totals."""
 
-    def _manifest(self, workers):
+    def _manifest(self, workers, trace=True):
         log = EventLog()
         result = execute_matrix(
             [TINY], ("STCG", "SimCoTest"), budget_s=2.0, repetitions=2,
-            seed=3, workers=workers, events=log, trace=True,
+            seed=3, workers=workers, events=log, trace=trace,
         )
         assert not result.failures
         return result.manifest
 
-    def test_workers_1_and_4_metric_totals_identical(self):
-        serial = self._manifest(1)
-        parallel = self._manifest(4)
-        assert serial["metrics"], "traced run must fold metrics"
+    def _assert_identical_totals(self, trace):
+        serial = self._manifest(1, trace)
+        parallel = self._manifest(4, trace)
+        assert serial["metrics"], "every run must fold metrics"
+        assert serial["metrics"]["counters"]["run.solver_calls"] > 0
         # Counters and histogram bucket counts are deterministic; gauges
         # carry wall-clock timing and are excluded from the pin.
         assert serial["metrics"]["counters"] == parallel["metrics"]["counters"]
@@ -297,5 +282,10 @@ class TestWorkerMergeEquivalence:
             serial["metrics"]["histograms"]
             == parallel["metrics"]["histograms"]
         )
-        assert serial["stat_totals"] == parallel["stat_totals"]
         assert serial["coverage"] == parallel["coverage"]
+
+    def test_workers_1_and_4_metric_totals_identical(self):
+        self._assert_identical_totals(trace=True)
+
+    def test_untraced_workers_1_and_4_metric_totals_identical(self):
+        self._assert_identical_totals(trace=False)

@@ -150,20 +150,21 @@ class TestApiIntegration:
         assert result.tool == "Fuzz"
         assert result.stats["fuzz_executions"] > 0
 
-    def test_fuzz_stats_event_is_emitted(self, tmp_path):
+    def test_fuzz_counters_reach_the_metrics_event(self, tmp_path):
         events_path = tmp_path / "fuzz.jsonl"
         api.generate(
             self._bench(), tool="Fuzz", budget_s=30.0, seed=0,
             config=_config(), events_out=str(events_path),
         )
         events = read_events(str(events_path))
-        fuzz_events = [e for e in events if e["event"] == "fuzz_stats"]
-        assert len(fuzz_events) == 1
-        payload = fuzz_events[0]
-        assert payload["tool"] == "Fuzz"
-        assert payload["executions"] > 0
-        assert payload["corpus_size"] > 0
-        assert "execs_per_s" in payload
+        metrics_events = [e for e in events if e["event"] == "metrics"]
+        assert len(metrics_events) == 1
+        assert metrics_events[0]["tool"] == "Fuzz"
+        snapshot = metrics_events[0]["snapshot"]
+        assert snapshot["counters"]["fuzz.executions"] > 0
+        assert snapshot["gauges"]["fuzz.corpus_size"]["value"] > 0
+        # The wall time executions/sec derives from (see repro.metrics.RATES).
+        assert snapshot["gauges"]["fuzz.seconds"]["value"] > 0
 
     def test_manifest_gains_the_fuzz_section(self, tmp_path):
         events_path = tmp_path / "fuzz.jsonl"
@@ -174,5 +175,6 @@ class TestApiIntegration:
         manifest = json.loads(
             (tmp_path / "fuzz.manifest.json").read_text()
         )
-        assert manifest["fuzz"]["cells"] == 1
-        assert manifest["fuzz"]["executions"] > 0
+        counters = manifest["metrics"]["counters"]
+        assert counters["fuzz.cells"] == 1
+        assert counters["fuzz.executions"] > 0

@@ -3,12 +3,31 @@
 import pytest
 
 from repro import api, cli
+from repro.metrics import MetricsRegistry, populate_registry
 from repro.models.registry import BenchmarkModel
 from repro.obs.report import render_report, trace_phase_totals
 
 from tests.conftest import build_counter_model
 
 TINY = BenchmarkModel("Tiny", "counter fixture", build_counter_model, 0, 0)
+
+
+def _snapshot():
+    """One STCG-like cell snapshot: stages, kernel traffic, a fallback."""
+    return populate_registry(
+        MetricsRegistry(),
+        stats={"solver_calls": 4, "sat": 4},
+        solver_stages={
+            "sample": {"attempts": 4, "finished": 3, "wins": 3,
+                       "seconds": 0.15},
+            "avm": {"attempts": 1, "finished": 1, "wins": 1,
+                    "seconds": 0.05},
+        },
+        cache={"encoding_hits": 3, "encoding_misses": 1},
+        kernel={"specialized_blocks": 42, "fallback_blocks": 1,
+                "fallback_classes": ["MovingAccumulator"],
+                "kernel_steps": 1234},
+    ).snapshot()
 
 
 def traced_events():
@@ -25,18 +44,10 @@ def traced_events():
         {"event": "phase_totals", "seq": 5, "t": 0.3, "cell": 0,
          "model": "M", "tool": "STCG", "repetition": 0,
          "phases": {"solve": {"count": 4, "seconds": 0.2},
-                    "encode": {"count": 2, "seconds": 0.1}},
-         "counters": {"encoding_hits": 3}},
-        {"event": "solver_stages", "seq": 6, "t": 0.3, "cell": 0,
+                    "encode": {"count": 2, "seconds": 0.1}}},
+        {"event": "metrics", "seq": 6, "t": 0.3, "cell": 0,
          "model": "M", "tool": "STCG", "repetition": 0,
-         "stages": {"sample": {"attempts": 4, "finished": 3, "wins": 3,
-                               "seconds": 0.15},
-                    "avm": {"attempts": 1, "finished": 1, "wins": 1,
-                            "seconds": 0.05}}},
-        {"event": "kernel_stats", "seq": 6, "t": 0.3, "cell": 0,
-         "model": "M", "tool": "STCG", "repetition": 0,
-         "enabled": True, "specialized_blocks": 42, "fallback_blocks": 1,
-         "fallback_classes": ["MovingAccumulator"], "kernel_steps": 1234},
+         "schema": "repro.metrics/1", "snapshot": _snapshot()},
         {"event": "tree_growth", "seq": 7, "t": 0.3, "cell": 0,
          "model": "M", "tool": "STCG", "repetition": 0,
          "points": [[0.0, 1], [0.1, 3], [0.2, 7]]},
@@ -57,37 +68,43 @@ class TestRenderReport:
         assert "cells ok: 1" in text
         assert "phase-time breakdown" in text
         assert "solve" in text and "66.7%" in text  # 0.2 of 0.3 traced
-        assert "counters: encoding_hits=3" in text
-        assert "solver-stage win rates" in text
-        assert "avm" in text and "100.0%" in text
+        assert "folded over 1 cell snapshot(s)" in text
+        # Metrics render grouped by namespace, with the shared rates.
+        assert "solver stages (solver.stage.*)" in text
+        assert "avm_win" in text and "100.0%" in text
+        assert "cache_hit" in text and "75.0%" in text
         assert "M/STCG rep0" in text
-        assert "simulation kernel" in text
+        assert "simulation kernel (kernel.*)" in text
         assert "42" in text and "1234" in text
-        assert "fallback classes: MovingAccumulator" in text
+        assert "kernel.fallback.MovingAccumulator" in text
+        assert "warm-start store (store.*): all zero" in text
         assert "7 nodes" in text          # tree growth final value
         assert "100.0% in 0.20s" in text  # coverage curve
         assert "b1" in text and "x3" in text  # slowest targets
 
     def test_untraced_stream_degrades_gracefully(self):
         events = [e for e in traced_events()
-                  if e["event"] not in ("phase_totals", "solver_stages",
-                                        "tree_growth", "span")]
+                  if e["event"] not in ("phase_totals", "tree_growth",
+                                        "span")]
         text = render_report(events)
         # Every absent kind is named explicitly, never zero-filled.
         assert "no events of kind phase_totals — re-run with --trace" in text
-        assert "no events of kind solver_stages" in text
         assert "no events of kind tree_growth" in text
         assert "no events of kind span" in text
-        assert "no events of kind metrics" in text
+        # Metrics are not a trace kind: an untraced stream still has them.
+        assert "simulation kernel (kernel.*)" in text
+        no_metrics = [e for e in events if e["event"] != "metrics"]
+        assert "no events of kind metrics" in render_report(no_metrics)
         # Coverage still renders from plain timeline points.
         assert "100.0% in 0.20s" in text
 
     def test_trace_missing_kinds_names_absent_kinds(self):
         from repro.obs.report import trace_missing_kinds
 
-        assert trace_missing_kinds(traced_events()) == [
-            "cache_stats", "solverc_stats", "metrics",
-        ]
+        assert trace_missing_kinds(traced_events()) == []
+        untraced = [e for e in traced_events()
+                    if e["event"] not in ("tree_growth", "span")]
+        assert trace_missing_kinds(untraced) == ["span", "tree_growth"]
         assert "phase_totals" in trace_missing_kinds([])
 
     def test_empty_stream(self):
@@ -118,20 +135,19 @@ class TestRenderReport:
         assert "extra0" not in text
 
     def test_metrics_section_folds_snapshots(self):
-        from repro.metrics import MetricsRegistry
-
         registry = MetricsRegistry()
-        registry.counter("stcg.solver_calls").inc(4)
-        registry.counter("stcg.sat").inc(0)
-        events = traced_events() + [{
-            "event": "metrics", "seq": 50, "t": 0.3, "cell": 0,
-            "model": "M", "tool": "STCG", "repetition": 0,
+        registry.counter("run.solver_calls").inc(4)
+        registry.counter("run.sat").inc(0)
+        events = [e for e in traced_events() if e["event"] != "metrics"]
+        events += [{
+            "event": "metrics", "seq": 50 + rep, "t": 0.3, "cell": rep,
+            "model": "M", "tool": "STCG", "repetition": rep,
             "snapshot": registry.snapshot(),
-        }]
+        } for rep in (0, 1)]
         text = render_report(events)
-        assert "unified metrics (repro.metrics/1)" in text
-        assert "stcg.solver_calls" in text and "4" in text
-        assert "1 zero counter(s) omitted" in text
+        assert "metrics (repro.metrics/1, folded over 2 cell" in text
+        assert "run.solver_calls" in text and "8" in text
+        assert "1 zero instrument(s) omitted" in text
 
     def test_stalls_listed_in_summary(self):
         events = traced_events()
@@ -161,7 +177,7 @@ class TestReportCli:
         assert cli.main(["report", str(path), "--require-trace"]) == 0
         out = capsys.readouterr().out
         assert "phase-time breakdown" in out
-        assert "solver-stage win rates" in out
+        assert "solver stages (solver.stage.*)" in out
         assert "Tiny/STCG" in out
 
     def test_require_trace_fails_on_untraced_stream(self, tmp_path, capsys):
@@ -172,8 +188,8 @@ class TestReportCli:
         err = capsys.readouterr().err
         # The error names every absent repro.trace/1 kind.
         assert "missing repro.trace/1 event kind(s)" in err
-        assert "phase_totals" in err and "solver_stages" in err
-        assert "metrics" in err
+        assert "phase_totals" in err and "tree_growth" in err
+        assert "span" in err
 
     def test_missing_file_is_an_error(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nope.jsonl")]) == 1

@@ -28,9 +28,8 @@ class TestNullTracer:
         with a:
             pass  # usable as a context manager
 
-    def test_count_and_sample_are_noops(self):
+    def test_sample_is_a_noop(self):
         tracer = NullTracer()
-        tracer.count("sim_steps", 5)
         tracer.sample("tree_nodes", 0.1, 3.0)
         # No attributes grew: NullTracer carries no per-instance state.
         assert not hasattr(tracer, "__dict__")
@@ -82,25 +81,22 @@ class TestSpanTracer:
         assert [t["target"] for t in targets] == ["slow", "fast"]
         assert targets[0] == {"target": "slow", "calls": 1, "seconds": 2.0}
 
-    def test_counters_and_series(self):
+    def test_series(self):
         tracer = SpanTracer(clock=FakeClock())
-        tracer.count("sim_steps")
-        tracer.count("sim_steps", 4)
         tracer.sample("tree_nodes", 0.1, 1.0)
         tracer.sample("tree_nodes", 0.2, 3.0)
-        assert tracer.counters == {"sim_steps": 5}
         assert tracer.series["tree_nodes"] == [(0.1, 1.0), (0.2, 3.0)]
+        # Counting is not a tracer concern (see repro.metrics).
+        assert not hasattr(tracer, "count")
 
     def test_summary_shape(self):
         clock = FakeClock()
         tracer = SpanTracer(clock=clock)
         with tracer.span("solve", target="b"):
             clock.advance(0.5)
-        tracer.count("hits", 2)
         tracer.sample("tree_nodes", 0.1, 1.0)
         summary = tracer.summary()
-        assert set(summary) == {"phase_totals", "targets", "counters", "series"}
-        assert summary["counters"] == {"hits": 2}
+        assert set(summary) == {"phase_totals", "targets", "series"}
         assert summary["series"]["tree_nodes"] == [[0.1, 1.0]]
 
 
@@ -148,7 +144,6 @@ class TestPhaseProfiler:
         profiler = PhaseProfiler(clock=clock)
         with profiler.span("encode"):
             clock.advance(0.5)
-        profiler.count("misses")
         summary = profiler.summary()
-        assert set(summary) == {"phase_totals", "targets", "counters", "series"}
+        assert set(summary) == {"phase_totals", "targets", "series"}
         assert summary["phase_totals"]["encode"]["count"] == 1

@@ -240,7 +240,7 @@ class TestApiWiring:
                 store_dir=str(tmp_path),
             )
 
-    def test_store_stats_event_and_manifest_fold(self, tmp_path):
+    def test_store_counters_fold_into_manifest_metrics(self, tmp_path):
         from repro import api
 
         store = str(tmp_path / "store")
@@ -255,16 +255,19 @@ class TestApiWiring:
         events = [
             json.loads(line) for line in open(events_path)
         ]
-        (stats_event,) = [
-            e for e in events if e.get("event") == "store_stats"
+        (metrics_event,) = [
+            e for e in events if e.get("event") == "metrics"
         ]
-        assert stats_event["hits"] == 1
-        assert stats_event["restored_verdicts"] > 0
+        counters = metrics_event["snapshot"]["counters"]
+        assert counters["store.hits"] == 1
+        assert counters["store.restored_verdicts"] > 0
         manifest = json.load(
             open(str(tmp_path / "run.manifest.json"))
         )
-        assert manifest["store"]["cells"] == 1
-        assert manifest["store"]["hits"] == 1
+        counters = manifest["metrics"]["counters"]
+        assert counters["store.cells"] == 1
+        assert counters["store.hits"] == 1
+        assert counters["store.rejected"] == 0
 
     def test_run_experiment_store_dir(self, tmp_path):
         from repro import api
@@ -278,7 +281,7 @@ class TestApiWiring:
             )
             assert not experiment.failures
         manifest = json.load(open(str(tmp_path / "mx.manifest.json")))
-        assert manifest["store"]["hits"] == 1
+        assert manifest["metrics"]["counters"]["store.hits"] == 1
 
     def test_report_renders_store_section(self, tmp_path):
         from repro import api

@@ -7,15 +7,14 @@ import pytest
 from repro import api, cli
 from repro.errors import ReproError
 from repro.models.registry import BenchmarkModel
+from repro.telemetry import MANIFEST_SCHEMA
 from repro.telemetry.diff import (
     Thresholds,
-    cache_hit_rate,
     diff_runs,
     find_regressions,
-    kernel_fallback_rate,
     load_run,
+    manifest_rates,
     render_diff,
-    solverc_fallback_rate,
 )
 from repro.telemetry.tail import cell_rows, render_tail
 
@@ -24,22 +23,28 @@ from tests.conftest import build_counter_model
 TINY = BenchmarkModel("Tiny", "counter fixture", build_counter_model, 0, 0)
 
 
+def _counters(**overrides):
+    counters = {
+        "cache.encoding_hits": 80, "cache.encoding_misses": 20,
+        "cache.compiled_hits": 0, "cache.compiled_misses": 0,
+        "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
+        "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
+        "run.solver_calls": 12,
+    }
+    counters.update(overrides)
+    return {"counters": counters}
+
+
 def _manifest(**overrides):
     base = {
-        "schema": "repro.run-manifest/1",
+        "schema": MANIFEST_SCHEMA,
         "cells": 2, "ok": 2, "failed": 0,
         "coverage": {
             "Tiny": {"STCG": {"decision": 1.0, "condition": 1.0,
                               "mcdc": 1.0, "runs": 2}},
         },
         "phase_seconds": {"solve": 1.0, "execute": 0.5},
-        "cache": {"encoding_hits": 80, "encoding_misses": 20,
-                  "compiled_hits": 0, "compiled_misses": 0},
-        "metrics": {"counters": {
-            "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
-            "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
-            "stcg.solver_calls": 12,
-        }},
+        "metrics": _counters(),
         "stalls": [],
     }
     base.update(overrides)
@@ -48,16 +53,18 @@ def _manifest(**overrides):
 
 class TestRates:
     def test_cache_hit_rate(self):
-        assert cache_hit_rate(_manifest()) == pytest.approx(0.8)
-        assert cache_hit_rate({"cache": {}}) is None
+        assert manifest_rates(_manifest())["cache_hit"] == pytest.approx(0.8)
+        assert manifest_rates({"metrics": {}})["cache_hit"] is None
 
     def test_kernel_fallback_rate(self):
-        assert kernel_fallback_rate(_manifest()) == pytest.approx(0.1)
-        assert kernel_fallback_rate({}) is None
+        rate = manifest_rates(_manifest())["kernel_fallback"]
+        assert rate == pytest.approx(0.1)
+        assert manifest_rates({})["kernel_fallback"] is None
 
     def test_solverc_fallback_rate(self):
-        assert solverc_fallback_rate(_manifest()) == pytest.approx(0.0)
-        assert solverc_fallback_rate({}) is None
+        rate = manifest_rates(_manifest())["solverc_fallback"]
+        assert rate == pytest.approx(0.0)
+        assert manifest_rates({})["solverc_fallback"] is None
 
 
 class TestDiffRuns:
@@ -80,8 +87,9 @@ class TestDiffRuns:
         assert any("failed cell(s)" in p for p in problems)
 
     def test_cache_hit_drop_respects_slack(self):
-        worse = _manifest(cache={"encoding_hits": 76, "encoding_misses": 24,
-                                 "compiled_hits": 0, "compiled_misses": 0})
+        worse = _manifest(metrics=_counters(**{
+            "cache.encoding_hits": 76, "cache.encoding_misses": 24,
+        }))
         diff = diff_runs(_manifest(), worse)
         assert find_regressions(diff) == []  # 4-point dip inside slack
         tight = Thresholds(cache_hit_drop=0.01)
@@ -89,11 +97,9 @@ class TestDiffRuns:
                    for p in find_regressions(diff, tight))
 
     def test_fallback_rate_increase_flags(self):
-        worse = _manifest(metrics={"counters": {
+        worse = _manifest(metrics=_counters(**{
             "kernel.specialized_blocks": 50, "kernel.fallback_blocks": 50,
-            "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
-            "stcg.solver_calls": 12,
-        }})
+        }))
         problems = find_regressions(diff_runs(_manifest(), worse))
         assert any("kernel fallback" in p for p in problems)
 
@@ -107,14 +113,10 @@ class TestDiffRuns:
         assert find_regressions(diff_runs(tiny, fast)) == []
 
     def test_changed_counters_are_listed(self):
-        changed = _manifest(metrics={"counters": {
-            "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
-            "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
-            "stcg.solver_calls": 20,
-        }})
+        changed = _manifest(metrics=_counters(**{"run.solver_calls": 20}))
         diff = diff_runs(_manifest(), changed)
-        assert diff.counters == {"stcg.solver_calls": (12, 20)}
-        assert "stcg.solver_calls" in render_diff(diff, [])
+        assert diff.counters == {"run.solver_calls": (12, 20)}
+        assert "run.solver_calls" in render_diff(diff, [])
 
 
 def _provenance_manifest(objectives):
@@ -181,6 +183,26 @@ class TestLoadRun:
         path.write_text(json.dumps({"schema": "something/else"}))
         with pytest.raises(ReproError, match="schema"):
             load_run(str(path))
+
+    def test_rejects_a_version_1_manifest_by_name(self, tmp_path):
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps({
+            "schema": "repro.run-manifest/1", "cells": 1, "ok": 1,
+            "failed": 0, "stat_totals": {"solver_calls": 3},
+            "coverage": {},
+        }))
+        with pytest.raises(ReproError) as caught:
+            load_run(str(path))
+        message = str(caught.value)
+        assert "repro.run-manifest/1" in message
+        assert MANIFEST_SCHEMA in message
+        assert "re-run the producer" in message
+        # Every loader-backed command refuses it the same way.
+        for command in (["diff", str(path), str(path)],
+                        ["dashboard", str(path), "--out",
+                         str(tmp_path / "d.html")],
+                        ["explain", str(path)]):
+            assert cli.main(command) == 1
 
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(ReproError, match="cannot read"):

@@ -6,6 +6,12 @@ import pytest
 
 from repro.errors import ReproError
 from repro.exec import execute_matrix
+from repro.metrics import (
+    METRICS_SCHEMA,
+    MetricsRegistry,
+    declare_instruments,
+    populate_registry,
+)
 from repro.models.registry import BenchmarkModel
 from repro.telemetry import (
     EVENT_SCHEMA,
@@ -14,6 +20,7 @@ from repro.telemetry import (
     TRACE_KINDS,
     TRACE_SCHEMA,
     build_manifest,
+    load_run,
     read_events,
 )
 
@@ -62,10 +69,14 @@ class TestEventLog:
     def test_manifest_aggregates_cells(self):
         log = EventLog()
         log.emit("matrix_started", models=["M"], tools=["STCG"], cells=3)
-        for decision in (0.4, 0.8):
+        for rep, decision in enumerate((0.4, 0.8)):
+            stats = {"solver_calls": 10, "sat": 4}
             log.emit("cell_finished", model="M", tool="STCG",
-                     decision=decision, condition=0.5, mcdc=0.25,
-                     duration_s=1.0, stats={"solver_calls": 10, "sat": 4})
+                     repetition=rep, decision=decision, condition=0.5,
+                     mcdc=0.25, duration_s=1.0, stats=stats)
+            snapshot = populate_registry(MetricsRegistry(), stats=stats)
+            log.emit("metrics", model="M", tool="STCG", repetition=rep,
+                     schema=METRICS_SCHEMA, snapshot=snapshot.snapshot())
         log.emit("cell_failed", model="M", tool="STCG", repetition=2,
                  seed=1, kind="timeout", message="slow", duration_s=2.0)
         log.emit("matrix_finished", cells=3, ok=2, failed=1, wall_s=4.0)
@@ -76,12 +87,16 @@ class TestEventLog:
         agg = manifest["coverage"]["M"]["STCG"]
         assert agg["decision"] == pytest.approx(0.6)
         assert agg["runs"] == 2
-        # Schema-stable: every stat key appears even when its total is zero.
-        assert manifest["stat_totals"] == {
-            "solver_calls": 20, "sat": 8, "unsat": 0, "unknown": 0,
-            "steps_executed": 0, "random_sequences": 0, "simulations": 0,
-            "const_false_skips": 0, "verdict_skips": 0,
-        }
+        # The folded metrics are the only counter aggregate, and they are
+        # schema-stable: every declared counter appears even when zero.
+        counters = manifest["metrics"]["counters"]
+        declared = declare_instruments(MetricsRegistry()).snapshot()
+        assert set(counters) == set(declared["counters"])
+        assert counters["run.cells"] == 2
+        assert counters["run.solver_calls"] == 20
+        assert counters["run.sat"] == 8
+        assert counters["run.unsat"] == 0
+        assert counters["run.simulations"] == 0
         assert manifest["wall_s"] == 4.0
         assert manifest["failures"][0]["kind"] == "timeout"
         assert manifest["config"]["cells"] == 3
@@ -91,21 +106,28 @@ class TestEventLog:
         log.emit("matrix_started", models=["M"], tools=["STCG"], cells=1)
         for cell in (0, 1):
             log.emit("phase_totals", cell=cell, model="M", tool="STCG",
+                     repetition=cell,
                      phases={"solve": {"count": 2, "seconds": 0.5}})
-            log.emit("solver_stages", cell=cell, model="M", tool="STCG",
-                     stages={"avm": {"attempts": 1, "finished": 1,
-                                     "wins": 1, "seconds": 0.25}})
+            snapshot = populate_registry(
+                MetricsRegistry(), stats={},
+                solver_stages={"avm": {"attempts": 1, "finished": 1,
+                                       "wins": 1, "seconds": 0.25}},
+            ).snapshot()
+            log.emit("metrics", cell=cell, model="M", tool="STCG",
+                     repetition=cell, schema=METRICS_SCHEMA,
+                     snapshot=snapshot)
         manifest = log.manifest()
         assert manifest["phase_seconds"] == {"solve": 1.0}
-        assert manifest["solver_stages"]["avm"]["wins"] == 2
-        assert manifest["solver_stages"]["avm"]["seconds"] == 0.5
+        metrics = manifest["metrics"]
+        assert metrics["counters"]["solver.stage.avm.wins"] == 2
+        assert metrics["gauges"]["solver.stage.avm.seconds"]["value"] == 0.5
 
     def test_untraced_manifest_has_empty_trace_aggregates(self):
         log = EventLog()
         log.emit("matrix_started", models=["M"], tools=["STCG"], cells=0)
         manifest = log.manifest()
         assert manifest["phase_seconds"] == {}
-        assert manifest["solver_stages"] == {}
+        assert manifest["metrics"] == {}
 
 
 class TestExecutorTelemetry:
@@ -164,19 +186,22 @@ class TestExecutorTelemetry:
             assert event["schema"] == TRACE_SCHEMA
             assert event["phases"]
             assert "cell" in event and "seed" in event
-        # STCG cells additionally report solver stages and tree growth.
-        stcg_stages = [e for e in events if e["event"] == "solver_stages"
-                       and e["tool"] == "STCG"]
-        assert stcg_stages and stcg_stages[0]["stages"]
+        # STCG cells additionally report tree growth.
         growth = [e for e in events if e["event"] == "tree_growth"]
         assert growth and growth[0]["tool"] == "STCG"
         assert growth[0]["points"]
-        # ... and the simulation-kernel specialization stats.
-        kernel = [e for e in events if e["event"] == "kernel_stats"
-                  and e["tool"] == "STCG"]
-        assert kernel and kernel[0]["enabled"] is True
-        assert kernel[0]["specialized_blocks"] > 0
-        assert kernel[0]["kernel_steps"] > 0
+        # Solver stages and the simulation-kernel specialization counts
+        # travel in the cell's one metrics snapshot.
+        (stcg,) = [e for e in events if e["event"] == "metrics"
+                   and e["tool"] == "STCG"]
+        assert stcg["schema"] == METRICS_SCHEMA
+        counters = stcg["snapshot"]["counters"]
+        assert sum(v for k, v in counters.items()
+                   if k.startswith("solver.stage.")
+                   and k.endswith(".finished")) > 0
+        assert stcg["snapshot"]["gauges"]["kernel.enabled"]["value"] == 1.0
+        assert counters["kernel.specialized_blocks"] > 0
+        assert counters["kernel.steps"] > 0
 
     def test_untraced_matrix_has_no_trace_events(self):
         log = EventLog()
@@ -184,8 +209,28 @@ class TestExecutorTelemetry:
             [TINY], ("STCG",), budget_s=2.0, repetitions=1, workers=1,
             events=log,
         )
-        kinds = {e["event"] for e in log.events}
-        assert not (kinds & set(TRACE_KINDS))
+        kinds = [e["event"] for e in log.events]
+        assert not (set(kinds) & set(TRACE_KINDS))
+        # Counters are not a trace concern: the metrics event is always on.
+        assert kinds.count("metrics") == 1
+
+    def test_matrix_without_a_sink_builds_the_same_manifest(self, tmp_path):
+        result = execute_matrix(
+            [TINY], ("STCG", "SimCoTest"),
+            budget_s=2.0, repetitions=1, workers=1,
+        )
+        manifest = result.manifest
+        assert manifest["schema"] == MANIFEST_SCHEMA
+        assert manifest["metrics"]["counters"]["run.cells"] == 2
+        path = tmp_path / "run.manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert load_run(str(path)) == manifest
+        for tool in ("STCG", "SimCoTest"):
+            outcome = result.outcomes["Tiny"][tool]
+            agg = manifest["coverage"]["Tiny"][tool]
+            assert agg["decision"] == outcome.decision
+            assert agg["condition"] == outcome.condition
+            assert agg["mcdc"] == outcome.mcdc
 
 
 class TestManifestRoundTrip:
@@ -202,7 +247,7 @@ class TestManifestRoundTrip:
         from_disk = build_manifest(read_events(str(path)))
         assert from_disk == in_memory
         assert from_disk["phase_seconds"]
-        assert from_disk["solver_stages"]
+        assert from_disk["metrics"]["counters"]["run.solver_calls"] > 0
 
     def test_write_manifest_equals_build_manifest(self, tmp_path):
         events_path = tmp_path / "run.jsonl"
@@ -219,8 +264,6 @@ class TestManifestRoundTrip:
 
 def _interleaved_cell_events():
     """A synthetic traced 2-model x 2-rep stream with per-cell events."""
-    from repro.metrics import MetricsRegistry
-
     events = [
         {"event": "log_opened", "seq": 0, "t": 0.0, "schema": EVENT_SCHEMA},
         {"event": "matrix_started", "seq": 1, "t": 0.0, "models": ["A", "B"],
@@ -233,7 +276,7 @@ def _interleaved_cell_events():
         identity = {"cell": index, "model": model, "tool": "STCG",
                     "repetition": rep}
         registry = MetricsRegistry()
-        registry.counter("stcg.solver_calls").inc(index + 1)
+        registry.counter("run.solver_calls").inc(index + 1)
         registry.histogram("stcg.case_length", (2.0, 4.0)).observe(
             float(index + 1)
         )
@@ -248,7 +291,7 @@ def _interleaved_cell_events():
              "phases": {"solve": {"count": 1, "seconds": 0.1 * (index + 1)},
                         "execute": {"count": 1, "seconds": 0.07}}},
             {"event": "metrics", "seq": seq + 3, "t": 0.1, **identity,
-             "schema": TRACE_SCHEMA, "snapshot": registry.snapshot()},
+             "schema": METRICS_SCHEMA, "snapshot": registry.snapshot()},
         ]
         seq += 4
     events.append({"event": "matrix_finished", "seq": seq, "t": 0.5,
@@ -298,7 +341,7 @@ class TestManifestOrderIndependence:
     def test_metrics_fold_is_order_independent(self):
         events = _interleaved_cell_events()
         reference = build_manifest(events)["metrics"]
-        assert reference["counters"]["stcg.solver_calls"] == 1 + 2 + 3 + 4
+        assert reference["counters"]["run.solver_calls"] == 1 + 2 + 3 + 4
         assert reference["histograms"]["stcg.case_length"]["count"] == 4
         shuffled = events[:2] + list(reversed(events[2:-1])) + events[-1:]
         assert build_manifest(shuffled)["metrics"] == reference
@@ -317,19 +360,13 @@ class TestManifestOrderIndependence:
             return log.manifest()
 
         serial, parallel = manifest(1), manifest(4)
-        for key in ("coverage", "stat_totals", "cache",
-                    "cells", "ok", "failed", "stalls"):
+        for key in ("coverage", "cells", "ok", "failed", "stalls"):
             assert serial[key] == parallel[key], key
 
-        # Stage *counters* are deterministic; stage seconds are wall-clock
-        # and jitter between any two real runs, workers aside.
-        def stage_counts(manifest_doc):
-            return {
-                stage: {k: v for k, v in stat.items() if k != "seconds"}
-                for stage, stat in manifest_doc["solver_stages"].items()
-            }
-
-        assert stage_counts(serial) == stage_counts(parallel)
+        # Counters (solver stages, cache traffic, ...) are deterministic;
+        # gauges such as stage seconds are wall-clock and jitter between
+        # any two real runs, workers aside.
+        assert serial["metrics"]["counters"]["run.solver_calls"] > 0
         assert (serial["metrics"]["counters"]
                 == parallel["metrics"]["counters"])
         assert (serial["metrics"]["histograms"]
