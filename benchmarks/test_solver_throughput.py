@@ -4,16 +4,17 @@ Solving is the other half of STCG's hot path: Algorithm 1 fires one
 one-step constraint per (state, branch) pair per pass, and each solve
 funnels through contraction, candidate sampling and AVM descent.  The
 ``repro.solverc`` compiler specializes that pipeline per constraint
-(compiled contractors, scalar distance closures, numpy batch tapes);
-this bench measures solves/second, kernel on vs off, on three cells:
+(compiled scalar distance objectives for the whole constraint and each
+split case, replayed contraction snapshots); this bench measures
+solves/second, kernel on vs off, on three cells:
 
 * ``CPUTask`` (dataflow-heavy) and ``UTPC`` (chart-heavy): warm
   one-step solves.  Warm is the honest configuration for STCG: the
   compiled bundle for a (fingerprint, target) pair is built on its
   second visit and reused from the cache afterwards, so the steady-state
-  cost is exactly a warm re-solve.  The sampling stage dominates at the
-  paper's Table III scale, so these cells widen ``max_samples`` to let
-  the batch tapes work.
+  cost is exactly a warm re-solve.  These cells widen ``max_samples``
+  so the sampling stage, where every candidate is scored by the
+  objective, carries Table-III-scale weight.
 * ``TCP-sldv3``: the SLDV baseline's depth-3 unrolled constraints on
   TCP, at SLDV's own solver budgets.  SLDV solves each constraint once,
   so the kernel pass compiles every bundle inside the timed pass; these
@@ -62,8 +63,8 @@ SLDV_DEPTH = 3
 
 CELLS = ["CPUTask", "UTPC", SLDV_CELL]
 
-#: Table-III-scale per-solve budgets: a wide sampling stage (where the
-#: batch tapes engage) and enough AVM evaluations for the hard targets.
+#: Table-III-scale per-solve budgets: a wide sampling stage and enough
+#: AVM evaluations for the hard targets.
 CONFIG = SolverConfig(max_samples=256, avm_evaluations=700, time_budget_s=60.0)
 #: SLDV's own per-branch budgets, with the per-call cutoff raised out of
 #: the way so a loaded machine cannot time a solve out.
@@ -137,7 +138,7 @@ def _compile_warm(problems, config):
     """Compile every bundle and run one warm-up pass so the contraction
     snapshots are recorded — the cached steady state generation reaches."""
     compiler = ConstraintCompiler()
-    compiled_list = [compiler.compile(c, v) for c, v in problems]
+    compiled_list = [compiler.compile(c) for c, _ in problems]
     _kernel_pass(problems, compiled_list, config)
     return compiled_list
 
@@ -153,14 +154,12 @@ def _kernel(cell, problems, config):
     """A callable running one kernel pass over ``problems``.
 
     One-step cells reuse warm bundles; the SLDV cell compiles its bundles
-    inside every pass, as SLDV does (``contractor=False``).
+    inside every pass, as SLDV does.
     """
     if cell == SLDV_CELL:
         def kernel():
             compiler = ConstraintCompiler()
-            bundles = (
-                compiler.compile(c, v, contractor=False) for c, v in problems
-            )
+            bundles = (compiler.compile(c) for c, _ in problems)
             return _kernel_pass(problems, bundles, config)
 
         return kernel

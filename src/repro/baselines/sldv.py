@@ -191,11 +191,7 @@ class SldvGenerator:
                     continue
                 self.stats["solver_calls"] += 1
                 with tracer.span("solve", target=branch.label):
-                    # Each (branch, depth) constraint is solved exactly
-                    # once, so a compiled contractor would never pay off.
-                    bundle = self._compiler.compile(
-                        constraint, unroll.variables, contractor=False
-                    )
+                    bundle = self._compiler.compile(constraint)
                     result = self._engine.solve(
                         constraint, unroll.variables, self._rng,
                         compiled=bundle,

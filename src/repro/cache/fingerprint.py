@@ -16,9 +16,10 @@ fixed-width hex digest with three guarantees the solve caches rely on:
 
 The value encoder is deliberately closed over the types a
 :class:`~repro.model.state.ModelState` may contain (scalars, strings,
-``None``, tuples — plus lists, byte strings, mappings, sets and numpy
-scalars/arrays defensively).  Anything else raises :class:`TypeError`
-rather than silently fingerprinting by identity.
+``None``, tuples — plus lists, byte strings, mappings, sets, and
+third-party numeric scalars and ``tolist()`` arrays defensively).
+Anything else raises :class:`TypeError` rather than silently
+fingerprinting by identity.
 """
 
 from __future__ import annotations
@@ -61,9 +62,10 @@ def _update_sized(h, tag: bytes, payload: bytes) -> None:
 def _update_number(h, value) -> None:
     """Canonical numeric encoding: equal numbers encode identically.
 
-    ``bool``/``int``/integral-``float`` (and their numpy counterparts) all
-    collapse onto the exact-integer encoding, mirroring Python's numeric
-    equality; non-integral floats use their exact hex representation.
+    ``bool``/``int``/integral-``float`` (and any other :mod:`numbers`
+    types) all collapse onto the exact-integer encoding, mirroring
+    Python's numeric equality; non-integral floats use their exact hex
+    representation.
     """
     if isinstance(value, numbers.Integral):
         _update_sized(h, _TAG_INT, repr(int(value)).encode("ascii"))
@@ -81,7 +83,7 @@ def _update_number(h, value) -> None:
 
 def _update_value(h, value) -> None:
     # Ordered roughly by frequency in real model states.
-    if isinstance(value, numbers.Number):  # bool, int, float, numpy scalars
+    if isinstance(value, numbers.Number):  # bool, int, float, array scalars
         _update_number(h, value)
     elif isinstance(value, str):
         _update_sized(h, _TAG_STR, value.encode("utf-8"))
@@ -112,7 +114,7 @@ def _update_value(h, value) -> None:
         h.update(len(digests).to_bytes(4, "big"))
         for digest in digests:
             h.update(digest.encode("ascii"))
-    elif hasattr(value, "tolist"):  # numpy arrays
+    elif hasattr(value, "tolist"):  # ndarray-like containers
         _update_value(h, value.tolist())
     else:
         raise TypeError(

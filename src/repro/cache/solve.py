@@ -17,8 +17,8 @@ the two memoizations Algorithm 1 profits from:
   fingerprint, solve target) to the solver kernel's
   :class:`~repro.solverc.compiler.CompiledConstraint` bundle.  The
   one-step constraint is a pure function of that key, so the compiled
-  contractor, distance closures, batch tapes — and the cached
-  contraction *result* the bundle carries — replay exactly.
+  distance objectives — and the cached contraction *result* the bundle
+  carries — replay exactly.
 
 Cache-key soundness (see DESIGN.md for the full argument): a one-step
 constraint is a pure function of (model, state value, target), so the

@@ -126,7 +126,7 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--no-solver-kernel", action="store_true",
         help="STCG only: force the reference solver pipeline instead of "
-             "the compiled/batched solver kernel (repro.solverc)",
+             "the compiled solver kernel (repro.solverc)",
     )
     gen.add_argument(
         "--store", default="", metavar="DIR",

@@ -4,9 +4,9 @@ The config surface is organized around a unified kernel/cache story:
 
 * :class:`KernelConfig` — the compiled fast paths (``kernels=``).  The
   *sim* kernel specializes concrete simulation (:mod:`repro.kernel`);
-  the *solver* kernel compiles and batches the symbolic solve pipeline
-  (:mod:`repro.solverc`).  Both are observably transparent: fixed-seed
-  runs are bit-identical with either kernel on or off.
+  the *solver* kernel compiles the symbolic solve pipeline's distance
+  objectives (:mod:`repro.solverc`).  Both are observably transparent:
+  fixed-seed runs are bit-identical with either kernel on or off.
 * :class:`CacheConfig` — the fingerprint-keyed solve caches
   (``caches=``): encoding LRU, compiled-constraint LRU, UNSAT verdict
   memo, and state-tree deduplication.  All observationally transparent
@@ -77,9 +77,9 @@ class KernelConfig:
     #: slots and reused buffers.  Off forces the reference interpreter.
     sim: bool = True
     #: Symbolic solving through the compiled solver kernel
-    #: (:mod:`repro.solverc`): per-constraint compiled contractors,
-    #: scalar distance closures and batched candidate scoring.  Off
-    #: forces the reference solver pipeline.
+    #: (:mod:`repro.solverc`): per-constraint compiled distance
+    #: objectives and replayed contraction snapshots.  Off forces the
+    #: reference solver pipeline.
     solver: bool = True
 
 

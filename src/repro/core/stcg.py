@@ -126,9 +126,8 @@ class StcgGenerator:
         #: Solver-kernel compiler (:mod:`repro.solverc`), or None when
         #: ``config.kernels.solver`` is off.  Compiled bundles are cached
         #: in :attr:`cache` keyed by (state fingerprint, target), and the
-        #: engine falls back to the interpreter per stage for anything
-        #: the compiler could not lower — results are bit-identical
-        #: either way.
+        #: engine falls back to the interpreter for any objective that
+        #: failed to compile — results are bit-identical either way.
         self._compiler: Optional[ConstraintCompiler] = (
             ConstraintCompiler() if self.config.kernels.solver else None
         )
@@ -397,9 +396,7 @@ class StcgGenerator:
             return None
         self.stats["solver_calls"] += 1
         engine = self._engine_for(target_key)
-        compiled = self._compiled_for(
-            fingerprint, target_key, constraint, encoding
-        )
+        compiled = self._compiled_for(fingerprint, target_key, constraint)
         with self.tracer.span("solve", target=branch.label):
             result = engine.solve(
                 constraint, encoding.variables, self._rng, compiled=compiled
@@ -459,9 +456,7 @@ class StcgGenerator:
             return None
         self.stats["solver_calls"] += 1
         engine = self._engine_for(target_key)
-        compiled = self._compiled_for(
-            fingerprint, target_key, constraint, encoding
-        )
+        compiled = self._compiled_for(fingerprint, target_key, constraint)
         with self.tracer.span("solve", target=repr(obligation)):
             result = engine.solve(
                 constraint, encoding.variables, self._rng, compiled=compiled
@@ -522,7 +517,7 @@ class StcgGenerator:
             )
         return True
 
-    def _compiled_for(self, fingerprint, target_key, constraint, encoding):
+    def _compiled_for(self, fingerprint, target_key, constraint):
         """The cached solver-kernel bundle for this solve, or None.
 
         The one-step constraint is a pure function of (model, state
@@ -530,18 +525,14 @@ class StcgGenerator:
         contraction result they memoize — replay exactly on a repeat
         visit of the same (state, target) cell.  First visits return
         None (pure interpreter): most pairs are solved exactly once, and
-        compiling for them costs more than it saves.  ``contractor=False``
-        because the bundle's contraction *snapshot* — recorded on the
-        interpreted first use — already covers every later visit.
+        compiling for them costs more than it saves.
         """
         if self._compiler is None:
             return None
         return self.cache.compiled_constraint(
             fingerprint,
             target_key,
-            lambda: self._compiler.compile(
-                constraint, encoding.variables, contractor=False
-            ),
+            lambda: self._compiler.compile(constraint),
         )
 
     def _engine_for(self, target_key) -> SolverEngine:

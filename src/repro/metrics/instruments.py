@@ -122,9 +122,11 @@ RATES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
         ("kernel.fallback_blocks", "kernel.specialized_blocks"),
     ),
     (
+        # Failed objective compilations (whole constraint or split case)
+        # per attempted one: in [0, 1], 0 when every objective compiled.
         "solverc_fallback",
-        ("solverc.candidates_scalar",),
-        ("solverc.candidates_scalar", "solverc.candidates_batched"),
+        ("solverc.compile_fallbacks",),
+        ("solverc.objective_compiles",),
     ),
     ("fuzz_execs_per_s", ("fuzz.executions",), ("fuzz.seconds",)),
 ) + tuple(

@@ -14,9 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-import numpy as np
-
-from repro.errors import SolverError
+from repro.errors import ConfigError, SolverError
 from repro.expr.ast import Const, Expr, Var
 from repro.obs.stages import SolverStageMetrics, canonical_stage
 from repro.expr.distance import DistanceEvaluator
@@ -28,7 +26,7 @@ from repro.solver.box import Box
 from repro.solver.contractor import Contractor
 from repro.solver.sampler import corner_points, sample_point
 from repro.solver.splitter import split_cases
-from repro.solverc.compiler import CompiledConstraint, SolvercStats
+from repro.solverc.compiler import CompiledCase, CompiledConstraint, SolvercStats
 
 
 class Status(enum.Enum):
@@ -52,6 +50,22 @@ class SolverConfig:
     avm_evaluations: int = 1500
     time_budget_s: float = 0.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_samples < 0:
+            raise ConfigError(
+                f"solver.max_samples must be >= 0, got {self.max_samples!r}"
+            )
+        if self.avm_evaluations < 0:
+            raise ConfigError(
+                "solver.avm_evaluations must be >= 0, got "
+                f"{self.avm_evaluations!r}"
+            )
+        if not self.time_budget_s > 0:
+            raise ConfigError(
+                "solver.time_budget_s must be > 0, got "
+                f"{self.time_budget_s!r}"
+            )
 
 
 @dataclass
@@ -111,10 +125,11 @@ class SolverEngine:
         is always a *complete* input assignment.
 
         ``compiled`` (a :class:`~repro.solverc.CompiledConstraint` for this
-        exact constraint) lets the stages run their kernel forms — compiled
-        contraction, batched candidate scoring, compiled AVM objective —
-        with per-stage fallback to the interpreter.  Results are
-        bit-identical either way; only speed changes.
+        exact constraint) lets every candidate — corners, samples, split
+        cases, AVM steps — be scored by compiled objectives, and lets
+        contraction replay its recorded snapshot, with per-objective
+        fallback to the interpreter.  Results are bit-identical either
+        way; only speed changes.
         """
         if not constraint.ty.is_bool:
             raise SolverError(f"constraint must be boolean, got {constraint.ty!r}")
@@ -161,207 +176,94 @@ class SolverEngine:
             return finish(Status.UNSAT, stage="contract")
         mark("contract")
 
-        batch = None
-        if compiled is not None:
-            nnf = compiled.nnf()
-            batch = compiled.batch()
-            # The scalar objective is fetched where a stage first needs
-            # it (``objective or _scalar_objective(compiled)``), so a
-            # solve that ends in batch sampling never compiles it.
-            objective = None
-        else:
-            nnf = to_nnf(constraint)
-            objective = DistanceEvaluator(nnf).distance
+        nnf = compiled.nnf() if compiled is not None else to_nnf(constraint)
+        objective = _objective(compiled, nnf)
 
         # Stage 2: deterministic corners then random samples inside the box.
         best_env: Optional[Dict[str, object]] = None
         best_dist = float("inf")
         corners = corner_points(box)
-        if batch is not None:
-            best_env, best_dist, hit = _batch_scan(
-                batch, corners, best_env, best_dist
-            )
-            self.solverc.note("candidates_batched", len(corners))
-            if hit is not None:
-                stats.samples += hit + 1
+        if compiled is not None:
+            self.solverc.note("candidates_scalar", len(corners))
+        for candidate in corners:
+            stats.samples += 1
+            d = objective(candidate)
+            if d < best_dist:
+                best_env, best_dist = candidate, d
+            if d == 0.0:
                 return finish(
                     Status.SAT,
-                    self._certify(constraint, corners[hit], box),
+                    self._certify(constraint, candidate, box),
                     "corner",
                 )
-            stats.samples += len(corners)
-        else:
-            if compiled is not None:
-                self.solverc.note("candidates_scalar", len(corners))
-            objective = objective or _scalar_objective(compiled)
-            for candidate in corners:
-                stats.samples += 1
-                d = objective(candidate)
-                if d < best_dist:
-                    best_env, best_dist = candidate, d
-                if d == 0.0:
-                    return finish(
-                        Status.SAT,
-                        self._certify(constraint, candidate, box),
-                        "corner",
-                    )
-        if batch is not None:
-            # One chunk per stage: draw every candidate (identical RNG
-            # stream), score them in one tape pass, and on a hit rewind
-            # the RNG and re-draw exactly as many points as the scalar
-            # loop would have consumed before returning.
-            chunk_size = self.config.max_samples
-            if chunk_size > 0:
-                if out_of_time():
-                    return finish(Status.UNKNOWN, stage="sample-timeout")
-                state = rng.getstate()
-                chunk = [
-                    sample_point(box, rng) for _ in range(chunk_size)
-                ]
-                best_env, best_dist, hit = _batch_scan(
-                    batch, chunk, best_env, best_dist
+        if compiled is not None:
+            self.solverc.note("candidates_scalar", self.config.max_samples)
+        for _ in range(self.config.max_samples):
+            if out_of_time():
+                return finish(Status.UNKNOWN, stage="sample-timeout")
+            candidate = sample_point(box, rng)
+            stats.samples += 1
+            d = objective(candidate)
+            if d < best_dist:
+                best_env, best_dist = candidate, d
+            if d == 0.0:
+                return finish(
+                    Status.SAT,
+                    self._certify(constraint, candidate, box),
+                    "sample",
                 )
-                self.solverc.note("candidates_batched", chunk_size)
-                if hit is not None:
-                    rng.setstate(state)
-                    for _ in range(hit + 1):
-                        sample_point(box, rng)
-                    stats.samples += hit + 1
-                    return finish(
-                        Status.SAT,
-                        self._certify(constraint, chunk[hit], box),
-                        "sample",
-                    )
-                stats.samples += chunk_size
-        else:
-            if compiled is not None:
-                self.solverc.note(
-                    "candidates_scalar", self.config.max_samples
-                )
-            objective = objective or _scalar_objective(compiled)
-            for _ in range(self.config.max_samples):
-                if out_of_time():
-                    return finish(Status.UNKNOWN, stage="sample-timeout")
-                candidate = sample_point(box, rng)
-                stats.samples += 1
-                d = objective(candidate)
-                if d < best_dist:
-                    best_env, best_dist = candidate, d
-                if d == 0.0:
-                    return finish(
-                        Status.SAT,
-                        self._certify(constraint, candidate, box),
-                        "sample",
-                    )
 
         # Stage 3: disjunction splitting — contract and sample each OR case
         # separately.  Any satisfied case is SAT; all cases proven
         # inconsistent is UNSAT.
         mark("sample")
         if compiled is not None:
-            compiled_cases = compiled.cases()
-            cases = [entry.case for entry in compiled_cases]
+            cases = [(entry.constraint, entry) for entry in compiled.cases()]
         else:
-            compiled_cases = None
-            cases = split_cases(nnf)
+            cases = [(case, None) for case in split_cases(nnf)]
         if len(cases) > 1:
             all_unsat = True
             per_case = max(4, self.config.max_samples // len(cases))
-            for case_index, case in enumerate(cases):
+            for case, entry in cases:
                 if out_of_time():
                     all_unsat = False
                     break
                 case_box = Box(var_list)
-                entry = (
-                    compiled_cases[case_index]
-                    if compiled_cases is not None
-                    else None
-                )
                 if not self._contract(case, case_box, entry):
                     continue
                 all_unsat = False
-                case_batch = entry.batch() if entry is not None else None
-                if case_batch is not None:
-                    self.solverc.note("case_batched")
-                    case_corners = corner_points(case_box)
-                    if case_corners:
-                        dists = case_batch.evaluate(case_corners)
-                        self.solverc.note(
-                            "candidates_batched", len(case_corners)
-                        )
-                        hit = _first_zero(dists)
-                        if hit is not None:
-                            stats.samples += hit + 1
-                            return finish(
-                                Status.SAT,
-                                self._certify(
-                                    constraint, case_corners[hit], box
-                                ),
-                                "split-corner",
-                            )
-                        stats.samples += len(case_corners)
-                    state = rng.getstate()
-                    chunk = [
-                        sample_point(case_box, rng)
-                        for _ in range(per_case)
-                    ]
-                    dists = case_batch.evaluate(chunk)
-                    self.solverc.note("candidates_batched", per_case)
-                    hit = _first_zero(dists)
-                    if hit is not None:
-                        rng.setstate(state)
-                        for _ in range(hit + 1):
-                            sample_point(case_box, rng)
-                        stats.samples += hit + 1
+                if entry is not None:
+                    case_nnf = entry.nnf()
+                    if entry.objective() is None:
+                        self.solverc.note("case_interpreted")
+                else:
+                    case_nnf = to_nnf(case)
+                case_distance = _objective(entry, case_nnf)
+                for candidate in corner_points(case_box):
+                    stats.samples += 1
+                    if case_distance(candidate) == 0.0:
                         return finish(
                             Status.SAT,
-                            self._certify(constraint, chunk[hit], box),
+                            self._certify(constraint, candidate, box),
+                            "split-corner",
+                        )
+                for _ in range(per_case):
+                    candidate = sample_point(case_box, rng)
+                    stats.samples += 1
+                    if case_distance(candidate) == 0.0:
+                        return finish(
+                            Status.SAT,
+                            self._certify(constraint, candidate, box),
                             "split-sample",
                         )
-                    stats.samples += per_case
-                    if batch is not None:
-                        best_env, best_dist = _batch_best(
-                            batch, chunk, best_env, best_dist
-                        )
-                        self.solverc.note("candidates_batched", per_case)
-                    else:
-                        objective = objective or _scalar_objective(compiled)
-                        for candidate in chunk:
-                            whole = objective(candidate)
-                            if whole < best_dist:
-                                best_env, best_dist = candidate, whole
-                else:
-                    if entry is not None:
-                        self.solverc.note("case_interpreted")
-                    case_distance = DistanceEvaluator(to_nnf(case))
-                    objective = objective or _scalar_objective(compiled)
-                    for candidate in corner_points(case_box):
-                        stats.samples += 1
-                        if case_distance.distance(candidate) == 0.0:
-                            return finish(
-                                Status.SAT,
-                                self._certify(constraint, candidate, box),
-                                "split-corner",
-                            )
-                    for _ in range(per_case):
-                        candidate = sample_point(case_box, rng)
-                        stats.samples += 1
-                        d = case_distance.distance(candidate)
-                        if d == 0.0:
-                            return finish(
-                                Status.SAT,
-                                self._certify(constraint, candidate, box),
-                                "split-sample",
-                            )
-                        whole = objective(candidate)
-                        if whole < best_dist:
-                            best_env, best_dist = candidate, whole
+                    whole = objective(candidate)
+                    if whole < best_dist:
+                        best_env, best_dist = candidate, whole
             if all_unsat:
                 return finish(Status.UNSAT, stage="split")
             mark("split")
 
         # Stage 4: AVM from the best point seen so far.
-        objective = objective or _scalar_objective(compiled)
         if compiled is not None and compiled.objective() is not None:
             self.solverc.note("avm_compiled")
         search = AvmSearch(
@@ -378,14 +280,14 @@ class SolverEngine:
         return finish(Status.UNKNOWN, stage="avm")
 
     def _contract(self, constraint: Expr, box: Box, compiled) -> bool:
-        """Contract ``box``, preferring the compiled contractor.
+        """Contract ``box``, replaying a recorded contraction if any.
 
-        ``compiled`` is a :class:`CompiledConstraint` or
-        :class:`~repro.solverc.compiler.CompiledCase` (both carry a
-        ``contractor`` and a ``contract_result`` cache) or None for the
-        pure interpreter path.  Contraction is a pure function of the
-        constraint and the freshly built box, so a cached (feasible,
-        snapshot) pair replays the exact narrowing.
+        ``compiled`` is the :class:`~repro.solverc.compiler.CompiledCase`
+        of ``constraint`` (a whole-constraint bundle or one of its split
+        cases) or None for the pure interpreter path.  Contraction is a
+        pure function of the constraint and the freshly built box, so
+        the (feasible, snapshot) pair the first use records replays the
+        exact narrowing on every later use.
         """
         if compiled is None:
             return Contractor(constraint).contract(box)
@@ -395,12 +297,8 @@ class SolverEngine:
             box.restore(snapshot)
             self.solverc.note("contract_cached")
             return feasible
-        if compiled.contractor is not None:
-            feasible = compiled.contractor.contract(box)
-            self.solverc.note("contract_compiled")
-        else:
-            feasible = Contractor(constraint).contract(box)
-            self.solverc.note("contract_interpreted")
+        feasible = Contractor(constraint).contract(box)
+        self.solverc.note("contract_interpreted")
         compiled.contract_result = (feasible, box.snapshot())
         return feasible
 
@@ -438,60 +336,14 @@ class SolverEngine:
         return model
 
 
-def _scalar_objective(compiled: CompiledConstraint):
-    """The bundle's compiled objective, or the interpreter when it has none."""
-    scalar = compiled.objective()
+def _objective(compiled: Optional[CompiledCase], nnf: Expr):
+    """The bundle's compiled ``env -> distance`` objective, or the
+    interpreter's over ``nnf`` when there is no bundle or its compilation
+    failed."""
+    scalar = compiled.objective() if compiled is not None else None
     if scalar is None:
-        return DistanceEvaluator(compiled.nnf()).distance
+        return DistanceEvaluator(nnf).distance
     return scalar
-
-
-def _first_zero(dists: np.ndarray) -> Optional[int]:
-    """Index of the first exactly-satisfied candidate, or None."""
-    zeros = np.flatnonzero(dists == 0.0)
-    if zeros.size:
-        return int(zeros[0])
-    return None
-
-
-def _batch_best(batch, candidates, best_env, best_dist):
-    """Advance the best tracker over a chunk — zero is not a verdict here.
-
-    The split stage scores candidates against the *whole* constraint
-    purely to seed the AVM start point; a zero whole-distance does not
-    end the stage (only a zero *case* distance does), so unlike
-    ``_batch_scan`` a zero must simply win the best tracker.
-    """
-    if not candidates:
-        return best_env, best_dist
-    dists = batch.evaluate(candidates)
-    low = int(np.argmin(dists))
-    d = float(dists[low])
-    if d < best_dist:
-        return candidates[low], d
-    return best_env, best_dist
-
-
-def _batch_scan(batch, candidates, best_env, best_dist):
-    """Score a candidate chunk; returns (best_env, best_dist, hit_index).
-
-    Mirrors the scalar loop exactly: a zero distance wins immediately
-    (first index, like the sequential scan), otherwise the best tracker
-    advances to the chunk's first minimum iff it strictly beats the
-    incumbent — which is what candidate-by-candidate ``d < best_dist``
-    updates converge to.
-    """
-    if not candidates:
-        return best_env, best_dist, None
-    dists = batch.evaluate(candidates)
-    hit = _first_zero(dists)
-    if hit is not None:
-        return best_env, best_dist, hit
-    low = int(np.argmin(dists))
-    d = float(dists[low])
-    if d < best_dist:
-        return candidates[low], d, None
-    return best_env, best_dist, None
 
 
 def _dedupe(variables: Iterable[Var]) -> List[Var]:

@@ -2,18 +2,15 @@
 
 :class:`ConstraintCompiler` turns one solver constraint (an
 ``OneStepEncoding`` path or obligation constraint) into a
-:class:`CompiledConstraint`: an optional compiled HC4 contractor plus
-lazily compiled distance artifacts (scalar closure, batch tape, split
-cases).  Laziness is load-bearing: most solver calls die at the
-contract stage, and each (fingerprint, target) pair is typically solved
-exactly once per run, so a compiled piece must pay for itself within
-the calls that need it.  The distance pieces are only built when the
-sampling stages are actually reached, and the generator defers the
-whole bundle to the second visit of a pair (see
-``repro.cache.SolveCache.compiled_constraint``).
+:class:`CompiledConstraint`: a lazily compiled scalar distance objective,
+lazily compiled split cases (each a :class:`CompiledCase` with its own
+objective), and a slot for the recorded contraction result.  Laziness is
+load-bearing: most solver calls die at the contract stage, so an
+objective is only built when a sampling stage actually needs it, and the
+generator defers the whole bundle to the second visit of a (state,
+target) pair (see ``repro.cache.SolveCache.compiled_constraint``).
 
-Compiled bundles are cached by the PR 3 state fingerprints (see
-``repro.cache.SolveCache.compiled_constraint``), so re-visits of a
+Compiled bundles are cached by state fingerprint, so re-visits of a
 (state, branch) pair across engines and runs reuse the artifacts — and
 the cached contraction *result*, which is a pure function of the
 constraint and the initial box.
@@ -21,18 +18,12 @@ constraint and the initial box.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
-from repro.expr.ast import Expr, Var
+from repro.expr.ast import Expr
 from repro.expr.nnf import to_nnf
 from repro.solver.splitter import split_cases
-from repro.solverc.contractc import CompiledContractor, compile_contractor
-from repro.solverc.distc import (
-    BatchDistance,
-    compile_distance_batch,
-    compile_distance_scalar,
-)
-from repro.solverc.tape import NotLowerable
+from repro.solverc.distc import compile_distance_scalar
 
 __all__ = [
     "CompiledCase",
@@ -49,15 +40,11 @@ class SolvercStats:
 
     KEYS = (
         "constraints_compiled",
+        "objective_compiles",
         "compile_fallbacks",
-        "batch_lowered",
-        "batch_fallbacks",
-        "contract_compiled",
         "contract_cached",
         "contract_interpreted",
-        "candidates_batched",
         "candidates_scalar",
-        "case_batched",
         "case_interpreted",
         "avm_compiled",
     )
@@ -80,78 +67,18 @@ class SolvercStats:
 
 
 class CompiledCase:
-    """Compiled artifacts for one disjunctive split case."""
+    """Compiled artifacts for one constraint or disjunctive split case."""
 
-    __slots__ = (
-        "case",
-        "contractor",
-        "contract_result",
-        "_batch",
-        "_stats",
-        "_variables",
-    )
+    __slots__ = ("constraint", "contract_result", "_nnf", "_objective", "_stats")
 
-    def __init__(self, case: Expr, variables: List[Var], stats: SolvercStats):
-        self.case = case
-        self.contract_result = None
-        self._batch = _UNSET
-        self._stats = stats
-        self._variables = variables
-        try:
-            self.contractor: Optional[CompiledContractor] = (
-                compile_contractor(case)
-            )
-        except Exception:
-            self.contractor = None
-            stats.note("compile_fallbacks")
-
-    def batch(self) -> Optional[BatchDistance]:
-        """The case-distance batch tape, or None when not lowerable."""
-        if self._batch is _UNSET:
-            try:
-                self._batch = compile_distance_batch(
-                    to_nnf(self.case), self._variables
-                )
-                self._stats.note("batch_lowered")
-            except NotLowerable:
-                self._batch = None
-                self._stats.note("batch_fallbacks")
-        return self._batch
-
-
-class CompiledConstraint:
-    """All compiled forms of one solver constraint, built lazily."""
-
-    __slots__ = (
-        "constraint",
-        "variables",
-        "contractor",
-        "contract_result",
-        "_nnf",
-        "_objective",
-        "_batch",
-        "_cases",
-        "_stats",
-    )
-
-    def __init__(
-        self,
-        constraint: Expr,
-        variables: List[Var],
-        contractor: Optional[CompiledContractor],
-        stats: SolvercStats,
-    ):
+    def __init__(self, constraint: Expr, stats: SolvercStats):
         self.constraint = constraint
-        self.variables = variables
-        self.contractor = contractor
-        #: (feasible, box-snapshot) of the whole-constraint contraction,
+        #: (feasible, box-snapshot) of this constraint's contraction,
         #: filled in by the engine on first use.  Contraction is a pure
         #: function of (constraint, initial box), so replay is exact.
         self.contract_result = None
         self._nnf = _UNSET
         self._objective = _UNSET
-        self._batch = _UNSET
-        self._cases = _UNSET
         self._stats = stats
 
     def nnf(self) -> Expr:
@@ -164,12 +91,13 @@ class CompiledConstraint:
 
         The closure carries a per-call memo over the constraint's shared
         nodes, so a shared DAG costs what it costs the memoizing
-        interpreter, once per node.  None only when compilation itself
-        fails (counted under ``compile_fallbacks``); the engine then
-        scores with the interpreter.  Compiled on first use, so a solve
-        that ends in batch sampling never builds it.
+        interpreter, once per node.  Every compilation attempt is counted
+        under ``objective_compiles``; None only when it fails (counted
+        under ``compile_fallbacks``), and the engine then scores with the
+        interpreter.
         """
         if self._objective is _UNSET:
+            self._stats.note("objective_compiles")
             try:
                 self._objective = compile_distance_scalar(self.nnf())
             except Exception:
@@ -177,24 +105,22 @@ class CompiledConstraint:
                 self._stats.note("compile_fallbacks")
         return self._objective
 
-    def batch(self) -> Optional[BatchDistance]:
-        """Whole-constraint batch distance tape, or None."""
-        if self._batch is _UNSET:
-            try:
-                self._batch = compile_distance_batch(
-                    self.nnf(), self.variables
-                )
-                self._stats.note("batch_lowered")
-            except NotLowerable:
-                self._batch = None
-                self._stats.note("batch_fallbacks")
-        return self._batch
+
+class CompiledConstraint(CompiledCase):
+    """A whole solver constraint's bundle: its own artifacts plus its
+    split cases, all built lazily."""
+
+    __slots__ = ("_cases",)
+
+    def __init__(self, constraint: Expr, stats: SolvercStats):
+        super().__init__(constraint, stats)
+        self._cases = _UNSET
 
     def cases(self) -> List[CompiledCase]:
         """Split cases (possibly a single one), compiled on first use."""
         if self._cases is _UNSET:
             self._cases = [
-                CompiledCase(case, self.variables, self._stats)
+                CompiledCase(case, self._stats)
                 for case in split_cases(self.nnf())
             ]
         return self._cases
@@ -206,41 +132,7 @@ class ConstraintCompiler:
     def __init__(self):
         self.stats = SolvercStats()
 
-    def compile(
-        self,
-        constraint: Expr,
-        variables: Iterable[Var],
-        *,
-        contractor: bool = True,
-    ) -> CompiledConstraint:
-        """Compile ``constraint`` into a :class:`CompiledConstraint`.
-
-        ``contractor=False`` skips compiling the HC4 contractor: a
-        caller that caches bundles per (fingerprint, target) replays the
-        stored contraction *snapshot* from the second use on, so the
-        engine's interpreted contractor runs exactly once either way and
-        the compiled walk would never be exercised.
-        """
-        var_list = _dedupe(variables)
-        compiled_contractor = None
-        if contractor:
-            try:
-                compiled_contractor = compile_contractor(constraint)
-            except Exception:
-                self.stats.note("compile_fallbacks")
+    def compile(self, constraint: Expr) -> CompiledConstraint:
+        """The :class:`CompiledConstraint` bundle of ``constraint``."""
         self.stats.note("constraints_compiled")
-        return CompiledConstraint(
-            constraint, var_list, compiled_contractor, self.stats
-        )
-
-
-def _dedupe(variables: Iterable[Var]) -> List[Var]:
-    # Same first-occurrence order as the engine's own _dedupe, so the
-    # compiled tape's columns line up with the engine's Box.
-    seen = set()
-    result: List[Var] = []
-    for var in variables:
-        if var.name not in seen:
-            seen.add(var.name)
-            result.append(var)
-    return result
+        return CompiledConstraint(constraint, self.stats)

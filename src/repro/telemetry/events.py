@@ -363,11 +363,11 @@ def _emit_trace_events(
 
 
 def _jsonable(value: object) -> object:
-    """Last-resort JSON coercion for odd stat values (numpy scalars, sets)."""
+    """Last-resort JSON coercion for odd stat values (array scalars, sets)."""
     if isinstance(value, (set, frozenset, tuple)):
         return sorted(value) if isinstance(value, (set, frozenset)) else list(value)
     try:
-        return float(value)  # numpy floats/ints
+        return float(value)  # array-library floats/ints
     except (TypeError, ValueError):
         return repr(value)
 

@@ -1,17 +1,17 @@
-"""Exactness of the compiled distance artifacts against the interpreter.
+"""Exactness of the compiled distance objectives against the interpreter.
 
-The solver kernel's contract is bit-exactness: the scalar closures and
-the batch tapes must produce, element for element, the same float64 the
-:class:`~repro.expr.distance.DistanceEvaluator` produces — including the
-failure-distance behaviour on evaluation errors.  Hypothesis drives the
-comparison over randomized constraints and randomized candidate boxes.
+The solver kernel's contract is bit-exactness: the scalar closures — of
+a whole constraint and of each of its split cases — must produce the
+same float the :class:`~repro.expr.distance.DistanceEvaluator` produces,
+including the failure-distance behaviour on evaluation errors.
+Hypothesis drives the comparison over randomized constraints and
+randomized candidate points.
 """
 
 import random
 from collections import Counter
 from collections.abc import Mapping
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.expr import ast, ops as x
@@ -22,13 +22,10 @@ from repro.expr.nnf import to_nnf
 from repro.expr.types import ArrayType, BOOL, INT, REAL
 from repro.kernel import compile_expr, exprc
 from repro.solver.engine import SolverConfig, SolverEngine
+from repro.solver.splitter import split_cases
 from repro.solverc import compiler as compiler_module
 from repro.solverc.compiler import ConstraintCompiler
-from repro.solverc.distc import (
-    compile_distance_batch,
-    compile_distance_scalar,
-)
-from repro.solverc.tape import NotLowerable
+from repro.solverc.distc import compile_distance_scalar
 
 I = Var("i", INT, -100, 100)
 J = Var("j", INT, -100, 100)
@@ -98,76 +95,54 @@ class TestScalarExactness:
         nnf = to_nnf(constraint)
         compiled = compile_distance_scalar(nnf)
         assert compiled(env) == DistanceEvaluator(nnf).distance(env)
-
-
-class TestBatchExactness:
-    @given(
-        constraint=constraints(),
-        envs=st.lists(environments(), min_size=1, max_size=16),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_batch_tape_matches_scalar_elementwise(self, constraint, envs):
-        """Batched distances over a randomized box of candidates equal the
-        per-candidate interpreter distances bit for bit."""
-        nnf = to_nnf(constraint)
-        batch = compile_distance_batch(nnf, VARIABLES)
-        expected = [DistanceEvaluator(nnf).distance(env) for env in envs]
-        got = batch.evaluate(envs)
-        assert got.shape == (len(envs),)
-        assert list(got) == expected
+        # Every split case's compiled objective — what the split stage
+        # scores its candidates with — equals the interpreter's, too.
+        cases = ConstraintCompiler().compile(constraint).cases()
+        assert len(cases) == len(split_cases(nnf))
+        for entry, case in zip(cases, split_cases(nnf)):
+            reference = DistanceEvaluator(to_nnf(case))
+            assert entry.objective()(env) == reference.distance(env)
 
 
 class TestFallbacks:
-    def test_unbounded_int_is_not_lowerable(self):
-        unbounded = Var("n", INT)  # no domain: exact-float gate must refuse
-        constraint = x.gt(x.mul(unbounded, unbounded), 10)
-        with pytest.raises(NotLowerable):
-            compile_distance_batch(to_nnf(constraint), [unbounded])
-
-    def test_compiled_constraint_falls_back_to_scalar(self):
-        """A non-lowerable constraint leaves batch() None (the engine then
-        scores candidates through the scalar path) and counts the fallback."""
-        unbounded = Var("n", INT)
-        constraint = x.gt(x.mul(unbounded, unbounded), 10)
-        compiler = ConstraintCompiler()
-        bundle = compiler.compile(constraint, [unbounded])
-        assert bundle.batch() is None
-        assert bundle.batch() is None  # memoized, counted once
-        assert compiler.stats.counts["batch_fallbacks"] == 1
-        # The scalar objective still works and matches the interpreter.
-        objective = bundle.objective()
-        assert objective is not None
-        env = {"n": 2}
-        assert objective(env) == DistanceEvaluator(
-            to_nnf(constraint)
-        ).distance(env)
-
     def test_objective_compile_failure_is_counted(self, monkeypatch):
-        """A scalar objective that fails to compile leaves objective()
-        None (the engine then scores with the interpreter), counted under
-        compile_fallbacks, and the solve matches the reference path."""
+        """Objectives that fail to compile — the whole constraint's and a
+        split case's — leave objective() None, are counted under
+        compile_fallbacks, and are scored by the interpreter: the solve
+        still matches the reference path."""
         def broken(nnf):
             raise RecursionError("too deep")
 
         monkeypatch.setattr(compiler_module, "compile_distance_scalar", broken)
-        constraint = x.land(x.gt(x.mul(I, J), 7), x.lt(R, -49.0))
+        # Both cases survive contraction and miss in the split stage, so
+        # the solve scores split cases and then runs AVM, each through
+        # the interpreter.
+        constraint = x.lor(
+            x.land(x.eq(x.mul(I, J), 1517), x.lt(R, -49.0)),
+            x.land(x.eq(x.mul(I, J), -1763), x.gt(R, 49.0)),
+        )
         compiler = ConstraintCompiler()
-        bundle = compiler.compile(constraint, VARIABLES)
+        bundle = compiler.compile(constraint)
         assert bundle.objective() is None
         assert bundle.objective() is None  # memoized, counted once
         assert compiler.stats.counts["compile_fallbacks"] == 1
 
         config = SolverConfig(max_samples=4, avm_evaluations=200)
         reference = SolverEngine(config).solve(
-            constraint, VARIABLES, random.Random(3)
+            constraint, VARIABLES, random.Random(0)
         )
         engine = SolverEngine(config)
         result = engine.solve(
-            constraint, VARIABLES, random.Random(3), compiled=bundle
+            constraint, VARIABLES, random.Random(0), compiled=bundle
         )
         assert (result.status, result.model, result.stats.stage) == (
             reference.status, reference.model, reference.stats.stage
         )
+        assert result.stats.stage == "avm"
+        assert [case.objective() for case in bundle.cases()] == [None, None]
+        assert compiler.stats.counts["compile_fallbacks"] == 3
+        assert compiler.stats.counts["objective_compiles"] == 3
+        assert engine.solverc.counts["case_interpreted"] == 2
         assert engine.solverc.counts["avm_compiled"] == 0
 
 
@@ -203,7 +178,7 @@ class TestSharedDags:
         equals the interpreter at the same points."""
         constraint = x.gt(_doubling_dag(), 0)
         compiler = ConstraintCompiler()
-        bundle = compiler.compile(constraint, [I, J])
+        bundle = compiler.compile(constraint)
         objective = bundle.objective()
         assert objective is not None
         assert compiler.stats.counts["compile_fallbacks"] == 0

@@ -28,7 +28,7 @@ def _counters(**overrides):
         "cache.encoding_hits": 80, "cache.encoding_misses": 20,
         "cache.compiled_hits": 0, "cache.compiled_misses": 0,
         "kernel.specialized_blocks": 90, "kernel.fallback_blocks": 10,
-        "solverc.candidates_batched": 50, "solverc.candidates_scalar": 0,
+        "solverc.objective_compiles": 50, "solverc.compile_fallbacks": 0,
         "run.solver_calls": 12,
     }
     counters.update(overrides)

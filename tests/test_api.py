@@ -9,6 +9,7 @@ from repro.core.config import StcgConfig
 from repro.errors import CellTimeout, ConfigError, ReproError
 from repro.harness.runner import MatrixConfig
 from repro.models.registry import BenchmarkModel
+from repro.solver.engine import SolverConfig
 
 from tests.conftest import build_counter_model, build_sleepy_model
 
@@ -148,6 +149,16 @@ class TestConfigValidation:
     def test_stcg_config_rejects_nonsense(self, kwargs):
         with pytest.raises(ConfigError):
             StcgConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_samples": -3},
+        {"avm_evaluations": -1},
+        {"time_budget_s": -1.0},
+        {"time_budget_s": 0.0},
+    ])
+    def test_solver_config_rejects_nonsense(self, kwargs):
+        with pytest.raises(ConfigError):
+            SolverConfig(**kwargs)
 
     def test_matrix_config_keyword_only(self):
         with pytest.raises(TypeError):

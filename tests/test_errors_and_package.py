@@ -1,5 +1,9 @@
 """Tests for the error hierarchy and top-level package surface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -59,6 +63,24 @@ class TestPackageSurface:
         import repro.models
         import repro.solver
         import repro.stateflow
+
+    def test_runtime_does_not_import_numpy(self):
+        """The runtime's only dependency is networkx: importing the public
+        entry points in a fresh interpreter must not pull in numpy."""
+        import repro.api
+
+        src = os.path.dirname(os.path.dirname(repro.api.__file__))
+        probe = (
+            "import sys\n"
+            "import repro.api, repro.cli, repro.core.stcg, repro.baselines.sldv\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_dunder_all_resolves(self):
         import repro.expr as expr_pkg
