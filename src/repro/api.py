@@ -28,13 +28,7 @@ import time
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.core.config import (
-    CacheConfig,
-    FuzzConfig,
-    KernelConfig,
-    StcgConfig,
-    StoreConfig,
-)
+from repro.core.config import FuzzConfig, StcgConfig, StoreConfig
 from repro.core.result import GenerationResult
 from repro.core.stcg import StcgGenerator
 from repro.errors import HarnessError
@@ -68,13 +62,11 @@ from repro.telemetry.explain import load_provenance, render_explain
 
 __all__ = [
     "ALL_TOOLS",
-    "CacheConfig",
     "CellFailure",
     "FuzzConfig",
     "EventLog",
     "ExperimentResult",
     "GenerationResult",
-    "KernelConfig",
     "MatrixConfig",
     "PROVENANCE_SCHEMA",
     "SolvercStats",
@@ -150,14 +142,13 @@ def generate(
     :class:`BenchmarkModel`, or a user-built :class:`CompiledModel`.
     ``config`` (STCG/Fuzz/Hybrid only) overrides ``budget_s``/``seed``
     with a full :class:`StcgConfig`; ``stcg_overrides`` (same tools,
-    exclusive with
-    ``config``) applies extra :class:`StcgConfig` fields on top of
-    ``budget_s``/``seed`` — e.g. ``kernels=KernelConfig(solver=False)``
-    or ``caches=CacheConfig(encoding_size=0)`` — matching the
-    ``run_experiment`` knob of the same name.  ``cell_timeout`` bounds
-    the run's wall clock (raising :class:`~repro.errors.CellTimeout`);
-    ``events_out`` streams run telemetry to a JSONL file and writes a
-    manifest next to it.  ``trace`` turns on deep generator tracing:
+    exclusive with ``config``) applies extra :class:`StcgConfig` fields
+    on top of ``budget_s``/``seed`` — e.g. ``skip_constant_false=False``
+    — matching the ``run_experiment`` knob of the same name.
+    ``cell_timeout`` bounds the run's wall clock (raising
+    :class:`~repro.errors.CellTimeout`); ``events_out`` streams run
+    telemetry to a JSONL file and writes a manifest next to it.
+    ``trace`` turns on deep generator tracing:
     phase/solver-stage aggregates land in ``result.trace_data`` and —
     with ``events_out`` — as ``repro.trace/1`` events in the stream (see
     ``repro report``).  ``provenance`` controls the objective-level
@@ -271,7 +262,8 @@ def run_experiment(
     ``trace`` enables deep generator tracing per cell; the aggregates are
     forwarded into the event stream as ``repro.trace/1`` events.
     ``stcg_overrides`` applies extra :class:`StcgConfig` fields
-    (``kernels=``, ``caches=``, ablation flags) to every STCG cell.
+    (ablation flags such as ``skip_constant_false=False``) to every STCG
+    cell.
     ``provenance`` controls every cell's objective-level coverage ledger
     (``repro.provenance/1``); the per-cell snapshots are emitted as
     ``provenance`` events and folded into the manifest's ``provenance``

@@ -56,11 +56,10 @@ __all__ = [
 #: perturbing a fixed-seed run (``canonical_stage`` tags).
 CACHEABLE_UNSAT_STAGES = ("fold", "contract")
 
-#: Default bound of the encoding LRU (``CacheConfig.encoding_size``).
+#: Default bound of the encoding LRU (entries).
 DEFAULT_ENCODING_CAPACITY = 512
 
-#: Default bound of the compiled-constraint LRU
-#: (``CacheConfig.compiled_size``).
+#: Default bound of the compiled-constraint LRU (entries).
 DEFAULT_COMPILED_CAPACITY = 256
 
 #: Marker for a (fingerprint, target) key seen exactly once — see

@@ -43,6 +43,7 @@ from repro.harness.ablation import (
 )
 from repro.errors import ReproError
 from repro.models import BENCHMARKS, get_benchmark
+from repro.store import STORE_SCHEMA
 
 
 def _add_exec_flags(parser: argparse.ArgumentParser) -> None:
@@ -110,28 +111,9 @@ def _parser() -> argparse.ArgumentParser:
     gen.add_argument("--minimize", action="store_true",
                      help="greedy set-cover suite reduction")
     gen.add_argument(
-        "--encoding-cache-size", type=int, default=None, metavar="N",
-        help="STCG only: entries in the one-step-encoding LRU "
-             "(0 disables it; default 512)",
-    )
-    gen.add_argument(
-        "--no-verdict-cache", action="store_true",
-        help="STCG only: disable the cached-UNSAT verdict skip",
-    )
-    gen.add_argument(
-        "--no-sim-kernel", action="store_true",
-        help="STCG only: force the generic step interpreter instead of "
-             "the compiled plan kernel (reference semantics)",
-    )
-    gen.add_argument(
-        "--no-solver-kernel", action="store_true",
-        help="STCG only: force the reference solver pipeline instead of "
-             "the compiled solver kernel (repro.solverc)",
-    )
-    gen.add_argument(
         "--store", default="", metavar="DIR",
         help="STCG-family only: persistent warm-start store directory "
-             "(repro.store/1); verdicts, compiled-bundle markers, "
+             f"({STORE_SCHEMA}); verdicts, compiled-bundle markers, "
              "contraction snapshots and encodings persist across runs",
     )
     _add_exec_flags(gen)
@@ -166,7 +148,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--store", default="", metavar="DIR",
-        help="persistent warm-start store directory (repro.store/1); "
+        help=f"persistent warm-start store directory ({STORE_SCHEMA}); "
              "solver state and the retained corpus persist across runs",
     )
     fuzz.add_argument("--out", help="write the suite text export here")
@@ -201,7 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     t3.add_argument(
         "--store", default="", metavar="DIR",
-        help="persistent warm-start store directory (repro.store/1) for "
+        help=f"persistent warm-start store directory ({STORE_SCHEMA}) for "
              "every STCG-family cell; keys are scoped per cell, so "
              "parallel workers never contend",
     )
@@ -348,44 +330,16 @@ def _cmd_info(name: str) -> None:
 
 def _cmd_generate(args) -> None:
     model = get_benchmark(args.model)
-    cache_kwargs = {}
-    if args.encoding_cache_size is not None:
-        cache_kwargs["encoding_size"] = args.encoding_cache_size
-    if args.no_verdict_cache:
-        cache_kwargs["verdicts"] = False
-    kernel_kwargs = {}
-    if args.no_sim_kernel:
-        kernel_kwargs["sim"] = False
-    if args.no_solver_kernel:
-        kernel_kwargs["solver"] = False
-    stcg_overrides = {}
-    if cache_kwargs:
-        stcg_overrides["caches"] = api.CacheConfig(**cache_kwargs)
-    if kernel_kwargs:
-        stcg_overrides["kernels"] = api.KernelConfig(**kernel_kwargs)
-    if stcg_overrides and args.tool not in ("STCG", "Fuzz", "Hybrid"):
-        raise ReproError(
-            "cache and kernel flags apply to STCG-family tools only"
-        )
     if args.heartbeat is not None:
         raise ReproError(
             "--heartbeat applies to matrix commands "
             "(compare / table3 / fig4) only"
         )
-    config = (
-        api.StcgConfig(
-            budget_s=args.budget, seed=args.seed, trace=args.trace,
-            provenance=not args.no_provenance,
-            **stcg_overrides,
-        )
-        if stcg_overrides else None
-    )
     result = api.generate(
         model,
         tool=args.tool,
         budget_s=args.budget,
         seed=args.seed,
-        config=config,
         cell_timeout=args.cell_timeout,
         events_out=args.events_out,
         trace=args.trace,

@@ -1,21 +1,12 @@
 """Configuration for the STCG generator (and its ablations).
 
-The config surface is organized around a unified kernel/cache story:
-
-* :class:`KernelConfig` — the compiled fast paths (``kernels=``).  The
-  *sim* kernel specializes concrete simulation (:mod:`repro.kernel`);
-  the *solver* kernel compiles the symbolic solve pipeline's distance
-  objectives (:mod:`repro.solverc`).  Both are observably transparent:
-  fixed-seed runs are bit-identical with either kernel on or off.
-* :class:`CacheConfig` — the fingerprint-keyed solve caches
-  (``caches=``): encoding LRU, compiled-constraint LRU, UNSAT verdict
-  memo, and state-tree deduplication.  All observationally transparent
-  (see DESIGN.md, "Cache-key soundness").
-
-The flat pre-redesign field names (``sim_kernel``,
-``encoding_cache_size``, ``verdict_cache``, ``tree_dedup``) were kept as
-deprecated constructor aliases for one release and have been removed;
-use the sub-configs.
+:class:`StcgConfig` holds the knobs of the paper's loop and its
+Discussion-section variants; :class:`FuzzConfig` and :class:`StoreConfig`
+configure the fuzzing engine and the warm-start store.  The compiled
+kernels and the solve caches have no switches here: they are
+observationally transparent (DESIGN.md, "Cache-key soundness"), and the
+equivalence tests reach their reference paths through the constructors
+of ``Simulator``, ``SolveCache`` and ``StateTree``.
 """
 
 from __future__ import annotations
@@ -26,9 +17,7 @@ from repro.errors import ConfigError
 from repro.solver.engine import SolverConfig
 
 __all__ = [
-    "CacheConfig",
     "FuzzConfig",
-    "KernelConfig",
     "StcgConfig",
     "StoreConfig",
 ]
@@ -59,62 +48,6 @@ class StoreConfig:
         if not isinstance(self.path, str) or not self.path:
             raise ConfigError(
                 f"store.path must be a non-empty string, got {self.path!r}"
-            )
-
-
-@dataclass(frozen=True, kw_only=True)
-class KernelConfig:
-    """Which compiled fast paths the generator uses.
-
-    Kernels change how fast a run is, never what it produces: DESIGN.md
-    pins both observably equivalent to their interpreters, and the
-    equivalence suites run fixed-seed generations with each kernel on
-    and off and require bit-identical suites.
-    """
-
-    #: Concrete simulation through the compiled plan kernel
-    #: (:mod:`repro.kernel`): per-block closures over pre-resolved input
-    #: slots and reused buffers.  Off forces the reference interpreter.
-    sim: bool = True
-    #: Symbolic solving through the compiled solver kernel
-    #: (:mod:`repro.solverc`): per-constraint compiled distance
-    #: objectives and replayed contraction snapshots.  Off forces the
-    #: reference solver pipeline.
-    solver: bool = True
-
-
-@dataclass(frozen=True, kw_only=True)
-class CacheConfig:
-    """Bounds and switches of the fingerprint-keyed solve caches."""
-
-    #: Capacity of the per-model one-step-encoding LRU (entries).  0
-    #: turns the cache off; every solver attempt then rebuilds the
-    #: symbolic encoding.
-    encoding_size: int = 512
-    #: Capacity of the compiled-constraint LRU (entries), keyed by
-    #: (state fingerprint, solve target).  Only populated when the
-    #: solver kernel is on; 0 recompiles per solver call.
-    compiled_size: int = 256
-    #: Remember deterministic UNSAT verdicts per (state fingerprint,
-    #: target) and skip the solver on a repeat attempt.  Only verdicts
-    #: from randomness-free stages are recorded, so fixed-seed runs stay
-    #: bit-identical with the cache on or off.
-    verdicts: bool = True
-    #: Skip duplicate-fingerprint tree nodes in the Algorithm-1 solve
-    #: scan (they share solved-sets with their canonical node, so the
-    #: skip is exact).  Off reproduces the naive full scan.
-    tree_dedup: bool = True
-
-    def __post_init__(self) -> None:
-        if self.encoding_size < 0:
-            raise ConfigError(
-                "caches.encoding_size must be >= 0, got "
-                f"{self.encoding_size!r}"
-            )
-        if self.compiled_size < 0:
-            raise ConfigError(
-                "caches.compiled_size must be >= 0, got "
-                f"{self.compiled_size!r}"
             )
 
 
@@ -192,10 +125,10 @@ class StcgConfig:
     * ``random_warmup_s`` — hybrid mode: spend this long on pure random
       exploration before the solving loop ("introduce the random method
       into STCG ... first").
-    * ``fresh_random_inputs`` — draw random sequences from fresh random
-      input values instead of the solved-input library ("constructing a
-      random input sequence using only previously solved inputs may not
-      reach some branches").
+    * ``fresh_input_mix`` — draw this share of random-sequence elements
+      from fresh random input values instead of the solved-input library
+      ("constructing a random input sequence using only previously solved
+      inputs may not reach some branches"); 1.0 draws them all fresh.
     * ``skip_constant_false`` — detect branch conditions that fold to the
       constant ``false`` on a state and mark them solved without invoking
       the engine (cheap stand-in for the proposed dead-logic verification;
@@ -235,13 +168,13 @@ class StcgConfig:
     # -- Discussion-section variants -------------------------------------------
 
     random_warmup_s: float = 0.0
-    fresh_random_inputs: bool = False
     skip_constant_false: bool = True
     #: Probability that an element of a random sequence is drawn fresh from
     #: the input domains instead of the solved-input library.  The paper's
     #: Discussion proposes exactly this compensation ("attaching random
     #: methods") for branches the library alone cannot reach; 0.0 gives the
-    #: strict library-only behaviour of Algorithm 2.
+    #: strict library-only behaviour of Algorithm 2 and 1.0 draws every
+    #: element fresh.
     fresh_input_mix: float = 0.25
 
     #: Verify unreachable branches up front by abstract interpretation
@@ -249,13 +182,8 @@ class StcgConfig:
     #: method") and exclude proven-dead branches from solving.
     prove_dead_branches: bool = False
 
-    # -- compiled fast paths and caches ------------------------------------------
+    # -- sub-configs -------------------------------------------------------------
 
-    #: The compiled fast paths (sim kernel, solver kernel).  Both
-    #: observably transparent — see :class:`KernelConfig`.
-    kernels: KernelConfig = field(default_factory=KernelConfig)
-    #: The fingerprint-keyed solve caches — see :class:`CacheConfig`.
-    caches: CacheConfig = field(default_factory=CacheConfig)
     #: The coverage-guided fuzzing engine (``tool="Fuzz"``/``"Hybrid"``)
     #: — see :class:`FuzzConfig`.  Ignored by the pure STCG loop.
     fuzz: FuzzConfig = field(default_factory=FuzzConfig)
@@ -316,14 +244,6 @@ class StcgConfig:
         if not 0.0 <= self.fresh_input_mix <= 1.0:
             raise ConfigError(
                 f"fresh_input_mix must be in [0, 1], got {self.fresh_input_mix!r}"
-            )
-        if not isinstance(self.kernels, KernelConfig):
-            raise ConfigError(
-                f"kernels must be a KernelConfig, got {self.kernels!r}"
-            )
-        if not isinstance(self.caches, CacheConfig):
-            raise ConfigError(
-                f"caches must be a CacheConfig, got {self.caches!r}"
             )
         if not isinstance(self.fuzz, FuzzConfig):
             raise ConfigError(

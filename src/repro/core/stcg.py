@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from operator import methodcaller
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.solve import CACHEABLE_UNSAT_STAGES, SolveCache
@@ -96,15 +97,7 @@ class StcgGenerator:
         #: Fingerprint-keyed encoding/verdict caches.  Private per
         #: generator by default; pass a shared instance to reuse learned
         #: encodings and dead verdicts across runs of the same model.
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = SolveCache(
-                compiled.name,
-                encoding_capacity=self.config.caches.encoding_size,
-                compiled_capacity=self.config.caches.compiled_size,
-                verdicts=self.config.caches.verdicts,
-            )
+        self.cache = cache if cache is not None else SolveCache(compiled.name)
         #: Observability hook.  An explicit ``tracer`` wins; otherwise
         #: ``config.trace`` turns on an aggregating profiler; the default
         #: no-op tracer keeps every hook below the noise floor.
@@ -123,14 +116,11 @@ class StcgGenerator:
             seed=self.config.seed,
         )
         self._lite_engine = SolverEngine(lite)
-        #: Solver-kernel compiler (:mod:`repro.solverc`), or None when
-        #: ``config.kernels.solver`` is off.  Compiled bundles are cached
-        #: in :attr:`cache` keyed by (state fingerprint, target), and the
-        #: engine falls back to the interpreter for any objective that
-        #: failed to compile — results are bit-identical either way.
-        self._compiler: Optional[ConstraintCompiler] = (
-            ConstraintCompiler() if self.config.kernels.solver else None
-        )
+        #: Solver-kernel compiler (:mod:`repro.solverc`).  Compiled bundles
+        #: are cached in :attr:`cache` keyed by (state fingerprint, target),
+        #: and the engine falls back to the interpreter for any objective
+        #: that failed to compile — results are bit-identical either way.
+        self._compiler = ConstraintCompiler()
         #: Failed solver attempts per target (branch id / obligation).
         self._failures: Dict[object, int] = {}
         self.collector = CoverageCollector(compiled.registry)
@@ -140,15 +130,8 @@ class StcgGenerator:
             ProvenanceLedger(compiled.registry, "STCG")
             if self.config.provenance else NULL_LEDGER
         )
-        self.simulator = Simulator(
-            compiled,
-            self.collector,
-            tracer=self.tracer,
-            kernel=self.config.kernels.sim,
-        )
-        self.tree = StateTree(
-            self.simulator.get_state(), dedup=self.config.caches.tree_dedup
-        )
+        self.simulator = Simulator(compiled, self.collector, tracer=self.tracer)
+        self.tree = StateTree(self.simulator.get_state())
         self.library = InputLibrary()
         self.suite = TestSuite(
             compiled.name, [spec.name for spec in compiled.inports]
@@ -324,8 +307,6 @@ class StcgGenerator:
 
     def _solverc_stats(self) -> Dict[str, object]:
         """Solver-kernel counters over both engines plus the compiler."""
-        if self._compiler is None:
-            return {"enabled": False}
         merged = SolvercStats()
         merged.merge(self._engine.solverc)
         merged.merge(self._lite_engine.solverc)
@@ -337,51 +318,84 @@ class StcgGenerator:
     # ------------------------------------------------------------------
 
     def _state_aware_solve(self) -> Optional[SolveTarget]:
+        ledger = self.ledger
         for branch in self._branches:
             if self.collector.is_branch_covered(branch):
                 continue
             if branch.branch_id in self.proven_dead:
                 continue
+            target_key = ("branch", branch.branch_id)
+            objective = ledger.branch_objective(branch) if ledger.enabled else None
+            path_constraint = methodcaller("path_constraint", branch)
             for node in self.tree.solve_nodes():
                 if node.is_solved(branch.branch_id):
                     continue
                 if self._out_of_time():
                     return None
-                target = self._solve_pair(node, branch)
+                node.set_solved(branch.branch_id)
+                target = self._solve(
+                    node, target_key, objective, branch.label,
+                    path_constraint, branch,
+                )
                 if target is not None:
                     return target
         # Branch obligations exhausted for now; work on condition / MCDC
         # obligations ("all the coverage requirements" of the paper).
         for obligation in self.collector.unsatisfied_condition_obligations():
+            target_key = ("obligation", obligation)
+            objective = (
+                ledger.obligation_objective(obligation) if ledger.enabled
+                else None
+            )
+            label = repr(obligation)
+            obligation_constraint = methodcaller(
+                "obligation_constraint", obligation
+            )
             for node in self.tree.solve_nodes():
                 if obligation in node.solved_obligations:
                     continue
                 if self._out_of_time():
                     return None
-                target = self._solve_obligation(node, obligation)
+                node.solved_obligations.add(obligation)
+                target = self._solve(
+                    node, target_key, objective, label, obligation_constraint
+                )
                 if target is not None:
                     return target
         return None
 
-    def _solve_pair(
-        self, node: StateTreeNode, branch: Branch
+    def _solve(
+        self,
+        node: StateTreeNode,
+        target_key,
+        objective: Optional[str],
+        label: str,
+        constraint_of: Callable[[OneStepEncoding], object],
+        branch: Optional[Branch] = None,
     ) -> Optional[SolveTarget]:
-        """One solver attempt for (state, branch); marks the pair attempted."""
-        target_key = ("branch", branch.branch_id)
+        """One solver attempt for (state, target); the caller marks it tried.
+
+        ``constraint_of`` picks the target's one-step constraint from the
+        node's encoding and ``label`` tags the solve span.  ``branch`` is
+        ``None`` for a condition/MCDC obligation: obligations write no
+        process-trace rows of their own, only a verdict-cache skip's
+        unlabelled one (see :meth:`_skip_dead`).
+        """
         ledger = self.ledger
-        objective = ledger.branch_objective(branch) if ledger.enabled else None
-        node.set_solved(branch.branch_id)
-        if self._skip_dead(node, target_key, branch.label, objective):
+        record = self.config.record_trace and branch is not None
+        if self._skip_dead(
+            node, target_key, label if branch is not None else None, objective
+        ):
             return None
         encoding = self._encoding(node)
-        constraint = encoding.path_constraint(branch)
+        constraint = constraint_of(encoding)
         fingerprint = node.state.fingerprint()
         if (
             self.config.skip_constant_false
             and isinstance(constraint, Const)
             and constraint.value is False
         ):
-            # The branch is unreachable from this state regardless of input
+            # The target is unreachable from this state regardless of input
             # (e.g. a transition whose source state is inactive).  The skip
             # never counted toward failure backoff, so a cached replay of
             # it must not either.
@@ -389,15 +403,13 @@ class StcgGenerator:
             self.cache.mark_dead(fingerprint, target_key, counts_failure=False)
             if ledger.enabled:
                 ledger.skip(objective, "const_false")
-            if self.config.record_trace:
-                self.trace.append(
-                    TraceEntry("solve_fail", branch.label, node.node_id)
-                )
+            if record:
+                self.trace.append(TraceEntry("solve_fail", label, node.node_id))
             return None
         self.stats["solver_calls"] += 1
         engine = self._engine_for(target_key)
         compiled = self._compiled_for(fingerprint, target_key, constraint)
-        with self.tracer.span("solve", target=branch.label):
+        with self.tracer.span("solve", target=label):
             result = engine.solve(
                 constraint, encoding.variables, self._rng, compiled=compiled
             )
@@ -420,70 +432,14 @@ class StcgGenerator:
                 self.cache.mark_dead(
                     fingerprint, target_key, counts_failure=True
                 )
-            if self.config.record_trace:
-                self.trace.append(
-                    TraceEntry("solve_fail", branch.label, node.node_id)
-                )
+            if record:
+                self.trace.append(TraceEntry("solve_fail", label, node.node_id))
             return None
         assert result.model is not None
         self.library.add(result.model)
-        if self.config.record_trace:
-            self.trace.append(TraceEntry("solve_ok", branch.label, node.node_id))
+        if record:
+            self.trace.append(TraceEntry("solve_ok", label, node.node_id))
         return SolveTarget(node, branch, result.model)
-
-    def _solve_obligation(self, node: StateTreeNode, obligation) -> Optional[SolveTarget]:
-        """One solver attempt for (state, condition obligation)."""
-        target_key = ("obligation", obligation)
-        ledger = self.ledger
-        objective = (
-            ledger.obligation_objective(obligation) if ledger.enabled else None
-        )
-        node.solved_obligations.add(obligation)
-        if self._skip_dead(node, target_key, None, objective):
-            return None
-        encoding = self._encoding(node)
-        constraint = encoding.obligation_constraint(obligation)
-        fingerprint = node.state.fingerprint()
-        if (
-            self.config.skip_constant_false
-            and isinstance(constraint, Const)
-            and constraint.value is False
-        ):
-            self.stats["const_false_skips"] += 1
-            self.cache.mark_dead(fingerprint, target_key, counts_failure=False)
-            if ledger.enabled:
-                ledger.skip(objective, "const_false")
-            return None
-        self.stats["solver_calls"] += 1
-        engine = self._engine_for(target_key)
-        compiled = self._compiled_for(fingerprint, target_key, constraint)
-        with self.tracer.span("solve", target=repr(obligation)):
-            result = engine.solve(
-                constraint, encoding.variables, self._rng, compiled=compiled
-            )
-        self.stats[result.status.value] += 1
-        if ledger.enabled:
-            ledger.attempt(
-                objective,
-                node.node_id,
-                result.status.value,
-                result.stats.stage,
-                "lite" if engine is self._lite_engine else "full",
-                compiled is not None,
-            )
-        self._note_outcome(target_key, result.status is Status.SAT)
-        if result.status is not Status.SAT:
-            if (
-                result.status is Status.UNSAT
-                and result.stats.stage in CACHEABLE_UNSAT_STAGES
-            ):
-                self.cache.mark_dead(
-                    fingerprint, target_key, counts_failure=True
-                )
-            return None
-        assert result.model is not None
-        self.library.add(result.model)
-        return SolveTarget(node, None, result.model)
 
     def _skip_dead(
         self,
@@ -527,8 +483,6 @@ class StcgGenerator:
         None (pure interpreter): most pairs are solved exactly once, and
         compiling for them costs more than it saves.
         """
-        if self._compiler is None:
-            return None
         return self.cache.compiled_constraint(
             fingerprint,
             target_key,
@@ -654,7 +608,7 @@ class StcgGenerator:
 
     def _random_sequence(self) -> List[Dict[str, object]]:
         length = self.config.random_sequence_length
-        mix = 1.0 if self.config.fresh_random_inputs else self.config.fresh_input_mix
+        mix = self.config.fresh_input_mix
         sequence: List[Dict[str, object]] = []
         for _ in range(length):
             if self.library.is_empty or self._rng.random() < mix:

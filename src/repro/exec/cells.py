@@ -56,8 +56,8 @@ class CellSpec:
     provenance: bool = True
     #: Extra ``StcgConfig`` fields for this cell's generator, as a sorted
     #: (name, value) tuple so the spec stays hashable and picklable (e.g.
-    #: ``(("caches", CacheConfig(encoding_size=0)),)`` for a
-    #: cache-ablation run).  Ignored by non-STCG tools.
+    #: ``(("skip_constant_false", False),)`` for a constant-false
+    #: ablation run).  Ignored by non-STCG tools.
     stcg_overrides: tuple = ()
     #: Warm-start store directory (:mod:`repro.store`), or "" for no
     #: store.  Store keys are scoped per cell (tool + derived seed), so

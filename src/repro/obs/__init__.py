@@ -2,9 +2,8 @@
 
 The generator loop is instrumented against the :class:`Tracer` protocol.
 The default :data:`NULL_TRACER` makes every hook a no-op (sub-microsecond,
-so tracing costs nothing when disabled); :class:`SpanTracer` records every
-span for tests and debugging; :class:`PhaseProfiler` aggregates spans into
-bounded per-phase totals suitable for long runs.
+so tracing costs nothing when disabled); :class:`PhaseProfiler` aggregates
+spans into bounded per-phase totals suitable for long runs.
 
 Aggregates flow into the telemetry event stream as ``repro.trace/1`` event
 kinds (``span``, ``phase_totals``, ``tree_growth``) and are rendered by
@@ -16,8 +15,6 @@ from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
     PhaseProfiler,
-    Span,
-    SpanTracer,
     Tracer,
 )
 from repro.obs.stages import (
@@ -34,8 +31,6 @@ __all__ = [
     "PhaseProfiler",
     "SOLVER_STAGES",
     "SolverStageMetrics",
-    "Span",
-    "SpanTracer",
     "Tracer",
     "canonical_stage",
     "merge_stage_dicts",

@@ -14,8 +14,7 @@ accumulators and projects them into the ``repro.metrics/1`` registry
 :data:`NULL_TRACER` implements both as no-ops sharing a single
 stateless context manager, so instrumented code pays only an attribute
 lookup and a call when tracing is off — the overhead budget for a fully
-disabled tracer is <3% of generator wall-clock.  :class:`SpanTracer` keeps
-every raw span (unbounded; tests, short runs).  :class:`PhaseProfiler`
+disabled tracer is <3% of generator wall-clock.  :class:`PhaseProfiler`
 aggregates into per-phase totals and decimated series, so its memory stays
 bounded no matter how long the run is.
 """
@@ -23,31 +22,14 @@ bounded no matter how long the run is.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Dict, List, Protocol, Tuple
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "PhaseProfiler",
-    "Span",
-    "SpanTracer",
     "Tracer",
 ]
-
-
-@dataclass
-class Span:
-    """One finished timed section: name, monotonic start/end, tags."""
-
-    name: str
-    start: float
-    end: float = 0.0
-    tags: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def seconds(self) -> float:
-        return max(0.0, self.end - self.start)
 
 
 class Tracer(Protocol):
@@ -119,59 +101,6 @@ class _RecordingSpan:
         return False
 
 
-class SpanTracer:
-    """Records every span verbatim (plus series).
-
-    Unbounded memory — meant for tests and short diagnostic runs; long
-    runs should use :class:`PhaseProfiler`.
-    """
-
-    enabled = True
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic):
-        self._clock = clock
-        self.spans: List[Span] = []
-        self.series: Dict[str, List[Tuple[float, float]]] = {}
-
-    def span(self, name: str, **tags: object) -> _RecordingSpan:
-        return _RecordingSpan(self, name, tags)
-
-    def _finish(self, name, tags, start, end) -> None:
-        self.spans.append(Span(name, start, end, tags))
-
-    def sample(self, series: str, t: float, value: float) -> None:
-        self.series.setdefault(series, []).append((t, value))
-
-    # -- summaries -----------------------------------------------------
-
-    def phase_totals(self) -> Dict[str, Dict[str, float]]:
-        totals: Dict[str, Dict[str, float]] = {}
-        for span in self.spans:
-            agg = totals.setdefault(span.name, {"count": 0, "seconds": 0.0})
-            agg["count"] += 1
-            agg["seconds"] += span.seconds
-        return {
-            name: {"count": agg["count"],
-                   "seconds": round(agg["seconds"], 6)}
-            for name, agg in totals.items()
-        }
-
-    def target_totals(self) -> List[Dict[str, object]]:
-        """Per-``target``-tag time aggregation, slowest first."""
-        targets: Dict[str, List[float]] = {}
-        for span in self.spans:
-            target = span.tags.get("target")
-            if target is None:
-                continue
-            agg = targets.setdefault(str(target), [0, 0.0])
-            agg[0] += 1
-            agg[1] += span.seconds
-        return _sorted_targets(targets)
-
-    def summary(self) -> Dict[str, object]:
-        return _summary(self)
-
-
 class PhaseProfiler:
     """Aggregating tracer with bounded memory.
 
@@ -180,8 +109,6 @@ class PhaseProfiler:
     "slowest solver targets" table).  Series are decimated in place once
     they exceed ``max_series_points``, halving their resolution instead of
     growing without bound — sampling-friendly for arbitrarily long runs.
-    ``sample_every > 0`` additionally keeps every Nth raw span in
-    ``samples`` for spot-checking latency distributions.
     """
 
     enabled = True
@@ -189,16 +116,12 @@ class PhaseProfiler:
     def __init__(
         self,
         clock: Callable[[], float] = time.monotonic,
-        sample_every: int = 0,
         max_series_points: int = 512,
     ):
         self._clock = clock
-        self.sample_every = sample_every
         self.max_series_points = max(8, max_series_points)
         self._totals: Dict[str, List[float]] = {}  # name -> [count, seconds]
         self._targets: Dict[str, List[float]] = {}  # target -> [count, seconds]
-        self._span_seen = 0
-        self.samples: List[Span] = []
         self.series: Dict[str, List[Tuple[float, float]]] = {}
 
     def span(self, name: str, **tags: object) -> _RecordingSpan:
@@ -218,9 +141,6 @@ class PhaseProfiler:
                 tagg = self._targets[str(target)] = [0, 0.0]
             tagg[0] += 1
             tagg[1] += seconds
-        self._span_seen += 1
-        if self.sample_every and self._span_seen % self.sample_every == 0:
-            self.samples.append(Span(name, start, end, dict(tags)))
 
     def sample(self, series: str, t: float, value: float) -> None:
         points = self.series.setdefault(series, [])
@@ -238,28 +158,21 @@ class PhaseProfiler:
         }
 
     def target_totals(self) -> List[Dict[str, object]]:
-        return _sorted_targets(self._targets)
+        """Per-``target``-tag time aggregation, slowest first."""
+        return [
+            {"target": name, "calls": int(count), "seconds": round(seconds, 6)}
+            for name, (count, seconds) in sorted(
+                self._targets.items(), key=lambda item: -item[1][1]
+            )
+        ]
 
     def summary(self) -> Dict[str, object]:
-        return _summary(self)
-
-
-def _sorted_targets(targets: Dict[str, List[float]]) -> List[Dict[str, object]]:
-    return [
-        {"target": name, "calls": int(count), "seconds": round(seconds, 6)}
-        for name, (count, seconds) in sorted(
-            targets.items(), key=lambda item: -item[1][1]
-        )
-    ]
-
-
-def _summary(tracer) -> Dict[str, object]:
-    """The common ``{phase_totals, targets, series}`` digest."""
-    return {
-        "phase_totals": tracer.phase_totals(),
-        "targets": tracer.target_totals(),
-        "series": {
-            name: [[round(t, 6), value] for t, value in points]
-            for name, points in tracer.series.items()
-        },
-    }
+        """The ``{phase_totals, targets, series}`` digest."""
+        return {
+            "phase_totals": self.phase_totals(),
+            "targets": self.target_totals(),
+            "series": {
+                name: [[round(t, 6), value] for t, value in points]
+                for name, points in self.series.items()
+            },
+        }

@@ -10,8 +10,8 @@ key over
   semantics from the initial state, so an edit to a guard constant or a
   threshold invalidates the key even when the structure is unchanged;
 * the **config-relevant digest** — exactly the :class:`StcgConfig`
-  fields that change what derived state means (kernel switches, cache
-  bounds/switches, ``skip_constant_false``, ``prove_dead_branches``).
+  fields that change what derived state means (``skip_constant_false``
+  and ``prove_dead_branches``).
   Budgets and seeds are deliberately excluded: a cached UNSAT verdict is
   a proof, valid under any budget, and the store key must let a rerun of
   the same cell (same seed, per-cell scope) find yesterday's folds;
@@ -117,13 +117,6 @@ def config_digest(config) -> str:
     encoding.
     """
     description = {
-        "kernels": [bool(config.kernels.sim), bool(config.kernels.solver)],
-        "caches": [
-            int(config.caches.encoding_size),
-            int(config.caches.compiled_size),
-            bool(config.caches.verdicts),
-            bool(config.caches.tree_dedup),
-        ],
         "skip_constant_false": bool(config.skip_constant_false),
         "prove_dead_branches": bool(config.prove_dead_branches),
     }

@@ -1,7 +1,7 @@
 """SLDV's compiled solves are bit-identical to the reference interpreter.
 
 SLDV hands every (branch, depth) constraint to the solver with a
-compiled bundle (``ConstraintCompiler.compile(..., contractor=False)``).
+compiled bundle (``ConstraintCompiler.compile(constraint)``).
 The reference run is forced by monkeypatching the compiler to hand out
 no bundle, which sends every solve down the engine's ``compiled=None``
 interpreter path.  Wall clock is pinned out of the picture as in the

@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 
 from repro.core import StcgConfig, StcgGenerator
 from repro.core.result import ORIGIN_RANDOM, ORIGIN_SOLVER
@@ -108,17 +109,12 @@ class TestConfigVariants:
         )
         assert generator.stats["warmup_steps"] > 0
 
-    def test_fresh_random_inputs_mode(self, queue_model):
+    @pytest.mark.parametrize("mix", [0.0, 1.0])
+    def test_library_only_mode(self, queue_model, mix):
+        # Queue model is solvable library-only (0.0) and fresh-only (1.0).
         generator, result = run_stcg(
-            queue_model, budget_s=5.0, fresh_random_inputs=True
+            queue_model, budget_s=5.0, fresh_input_mix=mix
         )
-        assert result.decision == 1.0
-
-    def test_library_only_mode(self, queue_model):
-        generator, result = run_stcg(
-            queue_model, budget_s=5.0, fresh_input_mix=0.0
-        )
-        # Queue model is solvable library-only.
         assert result.decision == 1.0
 
     def test_skip_constant_false_off_still_correct(self, queue_model):
@@ -195,15 +191,15 @@ class TestDeepTracing:
 
     def test_explicit_tracer_instance(self, queue_model):
         from repro.core import StcgConfig, StcgGenerator
-        from repro.obs import SpanTracer
+        from repro.obs import PhaseProfiler
 
-        tracer = SpanTracer()
+        tracer = PhaseProfiler()
         generator = StcgGenerator(
             queue_model, StcgConfig(budget_s=10.0, seed=0), tracer=tracer
         )
         result = generator.run()
         assert generator.tracer is tracer
-        names = {span.name for span in tracer.spans}
+        names = set(tracer.phase_totals())
         assert {"solve_scan", "solve", "sim_step"} <= names
         # Simulated steps are counted once, by the simulator, and reach
         # the registry; they agree with the generator's own step count.

@@ -1,16 +1,26 @@
 """Observational transparency of the solve caches.
 
-The central contract of ``repro.cache`` (and this PR's acceptance bar):
-with a fixed seed, generation results are **bit-identical** with the
-caches on, off, or pre-warmed.  The caches may only change how much work
-is done, never what is produced.
+The central contract of ``repro.cache``: with a fixed seed, generation
+results are **bit-identical** with the caches on, off, or pre-warmed.
+The caches may only change how much work is done, never what is
+produced.  The off/bounded variants are reached the way a caller would
+build them: a ``SolveCache`` with explicit capacities handed to the
+generator, and a ``StateTree(dedup=False)`` patched in for the naive
+full solve scan.
 """
+
+from functools import partial
 
 import pytest
 
+import repro.core.stcg as stcg_module
 from repro.cache import SolveCache
+from repro.cache.solve import (
+    DEFAULT_COMPILED_CAPACITY,
+    DEFAULT_ENCODING_CAPACITY,
+)
 from repro.core import StcgConfig, StcgGenerator
-from repro.core.config import CacheConfig
+from repro.core.state_tree import StateTree
 
 from tests.conftest import build_counter_model, build_queue_model
 
@@ -24,6 +34,22 @@ def run(compiled, *, cache=None, **overrides):
         compiled, StcgConfig(**defaults), cache=cache
     )
     return generator, generator.run()
+
+
+def run_bounded(compiled, monkeypatch=None, *, dedup=True, **bounds):
+    """``run`` with a private cache built from ``bounds``
+    (``encoding_capacity``, ``compiled_capacity``, ``verdicts``); with
+    ``dedup=False`` the state tree scans every node, duplicates included.
+    """
+    if not dedup:
+        monkeypatch.setattr(
+            stcg_module, "StateTree", partial(StateTree, dedup=False)
+        )
+    generator, result = run(
+        compiled, cache=SolveCache(compiled.name, **bounds)
+    )
+    assert generator.tree.dedup is dedup
+    return generator, result
 
 
 def assert_identical(a, b, *, compare_stats=True):
@@ -45,39 +71,39 @@ def assert_identical(a, b, *, compare_stats=True):
 class TestCacheOnVsOff:
     def test_disabling_both_caches_changes_nothing(self, build):
         _, with_caches = run(build())
-        _, without = run(
-            build(), caches=CacheConfig(encoding_size=0, verdicts=False)
+        _, without = run_bounded(
+            build(), encoding_capacity=0, verdicts=False
         )
         assert_identical(with_caches, without)
 
     def test_tiny_encoding_cache_changes_nothing(self, build):
         # Constant eviction pressure: every rebuild must be deterministic.
         _, roomy = run(build())
-        _, tiny = run(build(), caches=CacheConfig(encoding_size=1))
+        generator, tiny = run_bounded(build(), encoding_capacity=1)
+        assert generator.cache.encodings.evictions > 0
         assert_identical(roomy, tiny)
 
     def test_tiny_compiled_cache_changes_nothing(self, build):
         # Compiled-bundle eviction (and the first-visit markers with it)
         # only changes when the solver kernel compiles, never results.
         _, roomy = run(build())
-        _, tiny = run(build(), caches=CacheConfig(compiled_size=1))
+        _, tiny = run_bounded(build(), compiled_capacity=1)
         assert_identical(roomy, tiny)
 
-    def test_dedup_off_changes_nothing(self, build):
+    def test_dedup_off_changes_nothing(self, build, monkeypatch):
         _, deduped = run(build())
-        _, full_scan = run(build(), caches=CacheConfig(tree_dedup=False))
+        _, full_scan = run_bounded(build(), monkeypatch, dedup=False)
         assert_identical(deduped, full_scan)
 
-    def test_everything_off_matches_everything_on(self, build):
+    def test_everything_off_matches_everything_on(self, build, monkeypatch):
         _, on = run(build())
-        _, off = run(
+        _, off = run_bounded(
             build(),
-            caches=CacheConfig(
-                encoding_size=0,
-                compiled_size=0,
-                verdicts=False,
-                tree_dedup=False,
-            ),
+            monkeypatch,
+            dedup=False,
+            encoding_capacity=0,
+            compiled_capacity=0,
+            verdicts=False,
         )
         assert_identical(on, off)
 
@@ -117,17 +143,16 @@ class TestWarmCacheTransparency:
 
 
 class TestGeneratorCacheWiring:
-    def test_default_cache_honors_config(self):
-        compiled = build_counter_model()
+    def test_default_cache_has_default_bounds(self):
         generator = StcgGenerator(
-            compiled,
-            StcgConfig(budget_s=1.0,
-                       caches=CacheConfig(encoding_size=3, compiled_size=5,
-                                          verdicts=False)),
+            build_counter_model(), StcgConfig(budget_s=1.0)
         )
-        assert generator.cache.encodings.capacity == 3
-        assert generator.cache.compiled.capacity == 5
-        assert not generator.cache.verdicts_enabled
+        assert generator.cache.encodings.capacity == \
+            DEFAULT_ENCODING_CAPACITY == 512
+        assert generator.cache.compiled.capacity == \
+            DEFAULT_COMPILED_CAPACITY == 256
+        assert generator.cache.verdicts_enabled
+        assert generator.tree.dedup
 
     def test_trace_counters_carry_cache_stats(self):
         compiled = build_counter_model()
@@ -152,12 +177,7 @@ class TestGeneratorCacheWiring:
         assert generator.tree.unique_states() < len(generator.tree)
 
     def test_invalid_cache_size_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="encoding_size"):
-            CacheConfig(encoding_size=-1)
-        with pytest.raises(ConfigError, match="compiled_size"):
-            CacheConfig(compiled_size=-1)
-        # Validation fires through the StcgConfig surface too.
-        with pytest.raises(ConfigError, match="encoding_size"):
-            StcgConfig(caches=CacheConfig(encoding_size=-1))
+        with pytest.raises(ValueError, match="capacity"):
+            SolveCache("M", encoding_capacity=-1)
+        with pytest.raises(ValueError, match="capacity"):
+            SolveCache("M", compiled_capacity=-1)

@@ -1,48 +1,50 @@
 """Generator-level transparency of the simulation kernel.
 
-``kernels.sim`` may only change how fast concrete steps run — never what
-any tool produces.  Fixed-seed STCG runs must be bit-identical with the
-kernel on or off, the baselines must be equally unaffected, and symbolic
-execution (the SLDV unroller, STCG's encodings) never touches the kernel.
+``Simulator(kernel=...)`` may only change how fast concrete steps run —
+never what any tool produces.  Fixed-seed STCG runs must be bit-identical
+with the kernel on or off, the baselines must be equally unaffected, and
+symbolic execution (the SLDV unroller, STCG's encodings) never touches the
+kernel.  "Off" patches each tool module's ``Simulator`` to ``kernel=False``.
 """
 
 import pytest
 
+import repro.core.stcg as stcg_module
 from repro.baselines.simcotest import SimCoTestConfig, SimCoTestGenerator
 from repro.baselines.sldv import SldvConfig, SldvGenerator
 from repro.core import StcgConfig, StcgGenerator
-from repro.core.config import KernelConfig
 
 from tests.conftest import build_counter_model, build_queue_model
 from tests.core.test_stcg_cache import assert_identical
 
 
+def force_interpreter(monkeypatch, module):
+    """Make ``module``'s ``Simulator`` always run the reference interpreter."""
+    original = module.Simulator
+    monkeypatch.setattr(
+        module,
+        "Simulator",
+        lambda *args, **kwargs: original(*args, **{**kwargs, "kernel": False}),
+    )
+
+
 @pytest.mark.parametrize("build", [build_counter_model, build_queue_model])
-def test_stcg_bit_identical_kernel_on_vs_off(build):
-    on = StcgGenerator(
-        build(),
-        StcgConfig(budget_s=10.0, seed=7, kernels=KernelConfig(sim=True)),
-    ).run()
-    off = StcgGenerator(
-        build(),
-        StcgConfig(budget_s=10.0, seed=7, kernels=KernelConfig(sim=False)),
-    ).run()
+def test_stcg_bit_identical_kernel_on_vs_off(build, monkeypatch):
+    config = StcgConfig(budget_s=10.0, seed=7)
+    on = StcgGenerator(build(), config).run()
+    force_interpreter(monkeypatch, stcg_module)
+    generator = StcgGenerator(build(), config)
+    off = generator.run()
+    assert generator.simulator.kernel_stats() is None
     assert_identical(on, off)
 
 
 def test_simcotest_replay_identical_kernel_on_vs_off(monkeypatch):
     import repro.baselines.simcotest as module
 
-    def run(force_interpreter):
-        if force_interpreter:
-            original = module.Simulator
-            monkeypatch.setattr(
-                module,
-                "Simulator",
-                lambda *args, **kwargs: original(
-                    *args, **{**kwargs, "kernel": False}
-                ),
-            )
+    def run(interpreter):
+        if interpreter:
+            force_interpreter(monkeypatch, module)
         result = SimCoTestGenerator(
             build_counter_model(), SimCoTestConfig(budget_s=5.0, seed=3)
         ).run()
@@ -58,16 +60,9 @@ def test_sldv_symbolic_path_untouched_by_kernel(monkeypatch):
     identical either way."""
     import repro.baselines.sldv as module
 
-    def run(force_interpreter):
-        if force_interpreter:
-            original = module.Simulator
-            monkeypatch.setattr(
-                module,
-                "Simulator",
-                lambda *args, **kwargs: original(
-                    *args, **{**kwargs, "kernel": False}
-                ),
-            )
+    def run(interpreter):
+        if interpreter:
+            force_interpreter(monkeypatch, module)
         result = SldvGenerator(
             build_counter_model(), SldvConfig(budget_s=5.0, seed=3, max_depth=3)
         ).run()
@@ -89,11 +84,11 @@ class TestKernelTraceData:
         assert kernel["fallback_blocks"] == 0
         assert kernel["kernel_steps"] > 0
 
-    def test_kernel_off_is_reported_as_disabled(self):
+    def test_kernel_off_is_reported_as_disabled(self, monkeypatch):
+        force_interpreter(monkeypatch, stcg_module)
         result = StcgGenerator(
             build_counter_model(),
-            StcgConfig(budget_s=5.0, seed=1, trace=True,
-                       kernels=KernelConfig(sim=False)),
+            StcgConfig(budget_s=5.0, seed=1, trace=True),
         ).run()
         assert result.trace_data["kernel"] == {"enabled": False}
 

@@ -8,7 +8,9 @@ Two levels, mirroring the sim-kernel suite:
   warm (the warm pass replays the cached contraction snapshots);
 * **per generation run** — fixed-seed STCG runs must produce
   bit-identical suites with the kernel on or off, across every registry
-  benchmark.
+  benchmark.  "Off" patches ``ConstraintCompiler.compile`` to hand out
+  no bundle, which sends every solve down the engine's ``compiled=None``
+  interpreter path.
 
 The generation-level runs pin wall-clock out of the picture: a fake
 deterministic clock drives the generator loop and the per-call solver
@@ -23,7 +25,6 @@ import pytest
 
 from repro.cache import SolveCache
 from repro.core import StcgConfig, StcgGenerator
-from repro.core.config import KernelConfig
 from repro.coverage.collector import CoverageCollector
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
@@ -122,12 +123,16 @@ def _generation(build, solver_kernel, cache=None):
         solver=SolverConfig(
             max_samples=32, avm_evaluations=300, time_budget_s=600.0
         ),
-        kernels=KernelConfig(solver=solver_kernel),
     )
-    generator = StcgGenerator(
-        build(), config, cache=cache, clock=FakeClock()
-    )
-    return generator, generator.run()
+    with pytest.MonkeyPatch.context() as patch:
+        if not solver_kernel:
+            patch.setattr(
+                ConstraintCompiler, "compile", lambda self, *args, **kw: None
+            )
+        generator = StcgGenerator(
+            build(), config, cache=cache, clock=FakeClock()
+        )
+        return generator, generator.run()
 
 
 def _suite_key(result):
@@ -167,4 +172,7 @@ def test_warm_cache_compiles_on_revisit_without_changing_results(build):
     # The rerun revisited pairs, so the kernel finally engaged.
     assert shared.stats()["compiled_hits"] > 0
     assert warm_gen._compiler.stats.counts["constraints_compiled"] > 0
-    assert kernel_off_gen._compiler is None
+    # The reference run never handed the engine a bundle.
+    reference_counts = kernel_off_gen._solverc_stats()
+    del reference_counts["enabled"]
+    assert not any(reference_counts.values())

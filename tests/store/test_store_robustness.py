@@ -10,8 +10,6 @@ observable.
 import json
 import os
 
-import pytest
-
 from repro.cache import SolveCache
 from repro.core.config import StcgConfig, StoreConfig
 from repro.core.stcg import StcgGenerator
@@ -246,13 +244,11 @@ class TestDigests:
         assert gen.stats["restored_verdicts"] == 0
 
     def test_config_edit_changes_the_digest(self):
-        from repro.core.config import CacheConfig
-
         base = StcgConfig(budget_s=1.0, seed=0)
-        ablated = StcgConfig(
-            budget_s=1.0, seed=0, caches=CacheConfig(verdicts=False)
-        )
-        assert config_digest(base) != config_digest(ablated)
+        ablated = StcgConfig(budget_s=1.0, seed=0, skip_constant_false=False)
+        proving = StcgConfig(budget_s=1.0, seed=0, prove_dead_branches=True)
+        digests = {config_digest(c) for c in (base, ablated, proving)}
+        assert len(digests) == 3
 
     def test_budget_and_seed_do_not_change_the_digest(self):
         a = StcgConfig(budget_s=1.0, seed=0)

@@ -53,23 +53,6 @@ class TestCli:
         assert out_file.exists()
         assert "test suite for AFC" in out_file.read_text()
 
-    def test_generate_without_sim_kernel(self, capsys):
-        code = main(
-            ["generate", "AFC", "--budget", "2", "--no-sim-kernel"]
-        )
-        assert code == 0
-        assert "STCG on AFC" in capsys.readouterr().out
-
-    def test_kernel_flag_rejected_for_other_tools(self, capsys):
-        code = main(
-            [
-                "generate", "AFC", "--tool", "SimCoTest",
-                "--budget", "2", "--no-sim-kernel",
-            ]
-        )
-        assert code == 1
-        assert "STCG-family tools only" in capsys.readouterr().err
-
     def test_table1(self, capsys):
         assert main(["table1", "--budget", "5"]) == 0
         assert "B1" in capsys.readouterr().out
