@@ -133,6 +133,9 @@ class StcgConfig:
       constant ``false`` on a state and mark them solved without invoking
       the engine (cheap stand-in for the proposed dead-logic verification;
       turning it off measures the wasted re-solving the paper describes).
+      Most such pairs are decided before encoding, by compiled state
+      guards (:mod:`repro.solver.guards`), which are on exactly when
+      this is.
     """
 
     #: Wall-clock budget for one generation run, in seconds.

@@ -50,6 +50,7 @@ from repro.obs.tracer import NULL_TRACER, PhaseProfiler, Tracer
 from repro.provenance import NULL_LEDGER, ProvenanceLedger
 from repro.solver.encoder import OneStepEncoding
 from repro.solver.engine import SolverConfig, SolverEngine, Status
+from repro.solver.guards import StateGuards
 from repro.solverc.compiler import ConstraintCompiler, SolvercStats
 
 #: Schema tag of the deep-tracing aggregates in ``GenerationResult``.
@@ -121,6 +122,9 @@ class StcgGenerator:
         #: and the engine falls back to the interpreter for any objective
         #: that failed to compile — results are bit-identical either way.
         self._compiler = ConstraintCompiler()
+        #: Per-target state guards; the step template behind them is
+        #: built on the first query, so runs that never solve skip it.
+        self._guards = StateGuards(compiled)
         #: Failed solver attempts per target (branch id / obligation).
         self._failures: Dict[object, int] = {}
         self.collector = CoverageCollector(compiled.registry)
@@ -387,14 +391,26 @@ class StcgGenerator:
             node, target_key, label if branch is not None else None, objective
         ):
             return None
-        encoding = self._encoding(node)
-        constraint = constraint_of(encoding)
         fingerprint = node.state.fingerprint()
-        if (
-            self.config.skip_constant_false
-            and isinstance(constraint, Const)
-            and constraint.value is False
-        ):
+        skip_false = self.config.skip_constant_false
+        # A false state guard is the encoder's constant-false verdict,
+        # reached without symbolic execution (see repro.solver.guards).
+        constant_false = skip_false and self._guards.refutes(
+            target_key, node.state
+        )
+        if not constant_false:
+            with self.tracer.span("encode"):
+                encoding = self.cache.encoding(
+                    fingerprint,
+                    lambda: OneStepEncoding(self.compiled, node.state),
+                )
+                constraint = constraint_of(encoding)
+            constant_false = (
+                skip_false
+                and isinstance(constraint, Const)
+                and constraint.value is False
+            )
+        if constant_false:
             # The target is unreachable from this state regardless of input
             # (e.g. a transition whose source state is inactive).  The skip
             # never counted toward failure backoff, so a cached replay of
@@ -501,13 +517,6 @@ class StcgGenerator:
             self._failures.pop(target_key, None)
         else:
             self._failures[target_key] = self._failures.get(target_key, 0) + 1
-
-    def _encoding(self, node: StateTreeNode) -> OneStepEncoding:
-        with self.tracer.span("encode"):
-            return self.cache.encoding(
-                node.state.fingerprint(),
-                lambda: OneStepEncoding(self.compiled, node.state),
-            )
 
     # ------------------------------------------------------------------
     # Algorithm 2: dynamic execution

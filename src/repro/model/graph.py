@@ -12,7 +12,9 @@ produces a :class:`CompiledModel`:
 * the flattened state-element table (Definition 2's G/GV + M/ML + I/IV),
 * the static *cone* of every plan item — the items it cannot run without —
   and the owner item of every decision and condition point, which let the
-  one-step encoder execute only what a query needs.
+  one-step encoder execute only what a query needs,
+* on demand, the *step template* (:meth:`CompiledModel.step_template`):
+  one symbolic step with inports and state elements alike as variables.
 
 Ordering rules:
 
@@ -35,7 +37,7 @@ import networkx as nx
 
 from repro.errors import CompileError, ModelError
 from repro.coverage.registry import Branch, CoverageRegistry
-from repro.expr.ast import Var
+from repro.expr.ast import Expr, Var
 from repro.expr.types import Type
 from repro.model.block import (
     Block,
@@ -337,6 +339,26 @@ class Model:
         return table
 
 
+@dataclass(frozen=True)
+class StepTemplate:
+    """One symbolic step in which inports *and* state elements are
+    variables (a state element's variable is named by its path).
+
+    Substituting a state's values for the state variables
+    (:func:`repro.expr.variables.substitute`) yields the conditions of
+    that state's one-step encoding: the template is the encoder's
+    state-generic form.  Chart transitions record condition atoms under
+    every leaf here, with context ``OR(loc == leaf && evaluated)``.
+    """
+
+    #: Names of the inport variables; every other variable is state.
+    input_names: frozenset
+    #: decision id -> outcome conditions.
+    outcome_conditions: Dict[int, List[Expr]]
+    #: point id -> (atoms, evaluation context).
+    condition_atoms: Dict[int, Tuple[List[Expr], Expr]]
+
+
 @dataclass
 class CompiledModel:
     """An executable model: plan + instrumentation + state layout."""
@@ -377,6 +399,7 @@ class CompiledModel:
             (name, index_of[id(signal.block)], signal.port)
             for name, signal in self.outports
         )
+        self._step_template: Optional[StepTemplate] = None
 
     @cached_property
     def owned_records(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
@@ -425,6 +448,28 @@ class CompiledModel:
                     cones[index] = cone
                     changed = True
         return tuple(cones)
+
+    def step_template(self) -> StepTemplate:
+        """The model's :class:`StepTemplate`, built on first use (one
+        full symbolic step, as in SLDV's unroller but from a symbolic
+        state), then kept."""
+        template = self._step_template
+        if template is None:
+            from repro.model.context import symbolic_context
+            from repro.model.executor import execute_step
+
+            inputs = {var.name: var for var in self.input_variables()}
+            state = {
+                path: Var(path, element.ty)
+                for path, element in self.state_elements.items()
+            }
+            ctx = symbolic_context(inputs, state)
+            ctx.template = True
+            execute_step(self, ctx)
+            template = self._step_template = StepTemplate(
+                frozenset(inputs), ctx.outcome_conditions, ctx.condition_atoms
+            )
+        return template
 
     def initial_state(self) -> Dict[str, object]:
         """Fresh state environment with every element at its initial value."""

@@ -12,6 +12,7 @@ Every value is an immutable Python scalar or tuple, so snapshots are cheap
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Mapping, Tuple
 
 from repro.cache.fingerprint import state_fingerprint
@@ -34,6 +35,10 @@ class ModelState:
     @property
     def values(self) -> Mapping[str, object]:
         return dict(self._values)
+
+    def view(self) -> Mapping[str, object]:
+        """A read-only view of the snapshot (no copy, unlike :attr:`values`)."""
+        return MappingProxyType(self._values)
 
     def get(self, path: str):
         try:

@@ -11,7 +11,9 @@ Pipeline stages (see :class:`~repro.solver.engine.SolverEngine`):
    (:mod:`repro.solver.avm`).
 
 The one-step model encoder that produces the constraints lives in
-:mod:`repro.solver.encoder`.
+:mod:`repro.solver.encoder`; :mod:`repro.solver.guards` refutes the
+(state, target) pairs whose constraint would fold to ``false`` before
+encoding.
 """
 
 from repro.solver.box import Box

@@ -12,7 +12,8 @@ Two encoders share the symbolic execution machinery:
   item that records the requested decision or condition point
   (:attr:`~repro.model.graph.CompiledModel.cones`).  Most (state, target)
   pairs STCG visits fold to ``false`` after a few items, so the bulk of
-  the model is never executed for them.
+  the model is never executed for them; most of those never reach the
+  encoder at all, being refuted first by :mod:`repro.solver.guards`.
 * :class:`UnrolledEncoding` — the SLDV-like bounded encoding: ``k`` steps
   are chained symbolically from the initial state, with per-step input
   variables and state expressions threaded between steps.  Constraint size

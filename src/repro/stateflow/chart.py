@@ -155,6 +155,12 @@ class ChartBlock(Block):
             leaves = [self.spec.leaves[int(loc_expr.const_value())]]
         else:
             leaves = self.spec.leaves
+        # Condition atoms for obligation solving are recorded for a
+        # constant location (STCG's one-step encodings) and for a step
+        # template; the SLDV-like unroller never pays for them.
+        record_atoms = loc_expr.is_const or ctx.template
+        #: transition index -> OR over leaves of (active && evaluated).
+        atom_contexts: Dict[int, Expr] = {}
         merged: Optional[Frame] = None
         for leaf in leaves:
             leaf_frame, leaf_taken, leaf_contexts = self._leaf_step_symbolic(
@@ -170,16 +176,11 @@ class ChartBlock(Block):
                 not_taken_conditions[index] = x.lor(
                     not_taken_conditions[index], x.land(active, not_taken)
                 )
-            if loc_expr.is_const:
-                # Record condition atoms for obligation solving (single-leaf
-                # encodings only: STCG always has a concrete location).
-                for index, evaluated in leaf_contexts.items():
-                    instrumented = self._points.get(index)
-                    if instrumented is None:
-                        continue
-                    point, atoms = instrumented
-                    atom_exprs = [self._subst(atom, frame) for atom in atoms]
-                    ctx.record_condition_atoms(point, atom_exprs, evaluated)
+                if record_atoms and index in self._points:
+                    atom_contexts[index] = x.lor(
+                        atom_contexts.get(index, x.FALSE),
+                        x.land(active, evaluated),
+                    )
             if merged is None:
                 merged = leaf_frame
             else:
@@ -188,6 +189,10 @@ class ChartBlock(Block):
                     for key in leaf_frame
                 }
         assert merged is not None
+        for index, evaluated in atom_contexts.items():
+            point, atoms = self._points[index]
+            atom_exprs = [self._subst(atom, frame) for atom in atoms]
+            ctx.record_condition_atoms(point, atom_exprs, evaluated)
         for transition in self.spec.transitions:
             decision = self._decisions[transition.index]
             ctx.record_outcome_conditions(
