@@ -1,16 +1,20 @@
 """Dev harness: one-step encodings vs. full symbolic steps and the template.
 
-For every registry model (plus the small CPUTask variant) this walks a
-few random reachable states and runs two checks at each one.
+For every registry model (plus the small CPUTask variant) this walks
+about thirty random reachable states and runs two checks at each one,
+both against one full symbolic ``execute_step`` from the state (the
+reference step).
 
-* demand mode: a fresh ``OneStepEncoding`` is asked for every branch
-  and obligation constraint in a shuffled order.  Every answer must be
-  structurally equal to the answer of an encoding that first ran the
-  whole step (``complete()``), and the completed encoding must record
-  exactly what ``execute_step`` records.
+* encoder mode: a fresh ``OneStepEncoding`` is asked for every branch
+  and obligation constraint in a shuffled order, and so is a codec
+  round trip of an encoding that had answered only a random part of
+  them (restored entries are authoritative, the rest is specialized on
+  demand).  Every answer must be structurally equal to the answer read
+  off the reference step, and a ``complete()`` encoding must record
+  exactly what the reference step records.
 * template mode: the model's step template, specialized to the state by
   ``substitute``, must give outcome conditions and condition atoms
-  structurally equal to ``complete()``'s (a point the encoding does not
+  structurally equal to the reference step's (a point the step does not
   record must get a ``false`` context), and every state guard that
   evaluates false must belong to a target whose constraint is the
   constant ``false``.
@@ -20,6 +24,7 @@ Exits non-zero on any mismatch.  Run:
     PYTHONPATH=src python devtools/encoding_check.py [model ...]
 """
 
+import json
 import random
 import sys
 import time
@@ -34,9 +39,15 @@ from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK
 from repro.solver.encoder import OneStepEncoding
 from repro.solver.guards import StateGuards
+from repro.store.codec import (
+    ExprTable,
+    decode_encoding,
+    decode_expr_table,
+    encode_encoding,
+)
 
 
-def reachable_states(compiled, steps=30, samples=6, seed=5):
+def reachable_states(compiled, steps=60, samples=30, seed=5):
     sim = Simulator(compiled, CoverageCollector(compiled.registry))
     rng = random.Random(seed)
     states = [sim.get_state()]
@@ -66,37 +77,75 @@ def guard_key(target):
     return ("branch", payload.branch_id) if kind == "branch" else target
 
 
-def check_demand(compiled, state, all_targets, rng):
-    """Demand-driven answers vs. ``complete()`` vs. ``execute_step``."""
-    found = []
-    full = OneStepEncoding(compiled, state).complete()
-    ctx = symbolic_context({v.name: v for v in full.variables}, state.values)
+def reference_step(compiled, state):
+    """The context of one full symbolic step from ``state``."""
+    inputs = {v.name: v for v in compiled.input_variables()}
+    ctx = symbolic_context(inputs, state.values)
     execute_step(compiled, ctx)
+    return ctx
+
+
+def reference_answers(compiled, state, ctx, all_targets):
+    """Every target's constraint read off the reference step ``ctx``: an
+    encoding holding exactly its entries, and ``false`` for the points
+    it does not record (unreachable from ``state``)."""
+    reference = OneStepEncoding(
+        compiled,
+        state,
+        outcome_conditions=dict(ctx.outcome_conditions),
+        condition_atoms=dict(ctx.condition_atoms),
+    )
+    return [
+        x.FALSE
+        if kind == "obligation" and payload.point_id not in ctx.condition_atoms
+        else answer(reference, (kind, payload))
+        for kind, payload in all_targets
+    ]
+
+
+def round_trip(encoding):
+    """``encoding`` through the warm-store codec and JSON."""
+    table = ExprTable()
+    payload = json.loads(json.dumps(encode_encoding(encoding, table)))
+    exprs = decode_expr_table(json.loads(json.dumps(table.nodes)))
+    return decode_encoding(payload, encoding.compiled, exprs)
+
+
+def check_encoder(compiled, state, all_targets, rng):
+    """Fresh and restored partial encodings vs. the reference step."""
+    found = []
+    ctx = reference_step(compiled, state)
+    full = OneStepEncoding(compiled, state).complete()
     if (
         full._outcome_conditions != ctx.outcome_conditions
         or full._condition_atoms != ctx.condition_atoms
     ):
         found.append("complete() != execute_step")
-    order = list(all_targets)
+    expected = reference_answers(compiled, state, ctx, all_targets)
+    order = list(range(len(all_targets)))
     rng.shuffle(order)
-    lazy = OneStepEncoding(compiled, state)
-    for target in order:
-        if answer(lazy, target) != answer(full, target):
-            found.append(target)
-    if lazy.next_state_expressions() != full.next_state_expressions():
-        found.append("next state")
+    fresh = OneStepEncoding(compiled, state)
+    partial = OneStepEncoding(compiled, state)
+    for index in order[: rng.randrange(len(order) + 1)]:
+        answer(partial, all_targets[index])
+    restored = round_trip(partial)
+    rng.shuffle(order)
+    for label, encoding in (("fresh", fresh), ("restored", restored)):
+        for index in order:
+            if answer(encoding, all_targets[index]) != expected[index]:
+                found.append((label, all_targets[index]))
     return found
 
 
 def check_template(compiled, state, all_targets, guards):
-    """The specialized template vs. ``complete()``; guard soundness.
+    """The specialized template vs. the reference step; guard soundness.
 
     Returns the mismatches and how many targets a guard refuted."""
     found = []
     template = compiled.step_template()
-    full = OneStepEncoding(compiled, state).complete()
+    ctx = reference_step(compiled, state)
     bindings = {path: x.lift(value) for path, value in state.values.items()}
-    for decision_id, conditions in full._outcome_conditions.items():
+    for decision_id, conditions in ctx.outcome_conditions.items():
         specialized = [
             substitute(c, bindings)
             for c in template.outcome_conditions.get(decision_id, ())
@@ -105,7 +154,7 @@ def check_template(compiled, state, all_targets, guards):
             found.append(("outcome conditions", decision_id))
     for point_id, (atoms, context) in template.condition_atoms.items():
         context = substitute(context, bindings)
-        recorded = full._condition_atoms.get(point_id)
+        recorded = ctx.condition_atoms.get(point_id)
         if recorded is None:
             if context != x.FALSE:
                 found.append(("unrecorded point context", point_id))
@@ -114,13 +163,14 @@ def check_template(compiled, state, all_targets, guards):
             or context != recorded[1]
         ):
             found.append(("condition atoms", point_id))
-    if full._condition_atoms.keys() - template.condition_atoms.keys():
+    if ctx.condition_atoms.keys() - template.condition_atoms.keys():
         found.append("points missing from the template")
     refuted = 0
-    for target in all_targets:
+    expected = reference_answers(compiled, state, ctx, all_targets)
+    for target, constraint in zip(all_targets, expected):
         if guards.refutes(guard_key(target), state):
             refuted += 1
-            if answer(full, target) != x.FALSE:
+            if constraint != x.FALSE:
                 found.append(("unsound guard", target))
     return found, refuted
 
@@ -135,7 +185,7 @@ def check_model(model, seed=0):
     started = time.perf_counter()
     states = reachable_states(compiled)
     for state in states:
-        for found in check_demand(compiled, state, all_targets, rng):
+        for found in check_encoder(compiled, state, all_targets, rng):
             mismatches.append((state.fingerprint(), found))
         found, count = check_template(compiled, state, all_targets, guards)
         mismatches.extend((state.fingerprint(), f) for f in found)

@@ -4,10 +4,11 @@ One :class:`SolveCache` serves one model (its ``model_key``) and bundles
 the two memoizations Algorithm 1 profits from:
 
 * the **encoding cache** — a bounded LRU from state fingerprint to
-  :class:`~repro.solver.encoder.OneStepEncoding`.  An encoding executes
-  the model symbolically on demand, one queried decision's cone at a
-  time, and keeps what it executed; revisiting a tree node whose state
-  was already encoded reuses all of that instead of starting over.
+  :class:`~repro.solver.encoder.OneStepEncoding`.  An encoding
+  specializes the model's step template to its state on demand, one
+  queried decision or condition point at a time, and keeps what it
+  specialized; revisiting a tree node whose state was already encoded
+  reuses all of that instead of starting over.
 * the **verdict cache** — (state fingerprint, solve target) pairs the
   solver *refuted deterministically*.  A later attempt on the same pair
   (typically a fresh generator re-solving the same cell, or a new tree

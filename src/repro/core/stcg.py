@@ -122,8 +122,9 @@ class StcgGenerator:
         #: and the engine falls back to the interpreter for any objective
         #: that failed to compile — results are bit-identical either way.
         self._compiler = ConstraintCompiler()
-        #: Per-target state guards; the step template behind them is
-        #: built on the first query, so runs that never solve skip it.
+        #: Per-target state guards; the step template behind them (and
+        #: behind the encodings) is built on first use, so runs that
+        #: never solve skip it.
         self._guards = StateGuards(compiled)
         #: Failed solver attempts per target (branch id / obligation).
         self._failures: Dict[object, int] = {}
@@ -394,9 +395,15 @@ class StcgGenerator:
         fingerprint = node.state.fingerprint()
         skip_false = self.config.skip_constant_false
         # A false state guard is the encoder's constant-false verdict,
-        # reached without symbolic execution (see repro.solver.guards).
-        constant_false = skip_false and self._guards.refutes(
-            target_key, node.state
+        # reached without specializing the template (repro.solver.guards).
+        # A cached encoding that already records what the target reads
+        # gives the same verdict as cheaply, so the guard is not asked.
+        # The peek moves no LRU counter or recency: eviction is unchanged.
+        cached = self.cache.encodings.peek(fingerprint)
+        constant_false = (
+            skip_false
+            and (cached is None or not cached.records(target_key))
+            and self._guards.refutes(target_key, node.state)
         )
         if not constant_false:
             with self.tracer.span("encode"):

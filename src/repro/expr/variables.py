@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Optional
 
-from repro.expr.ast import Binary, Const, Expr, Ite, Select, Store, Unary, Var
+from repro.expr.ast import (
+    AND,
+    OR,
+    Binary,
+    Const,
+    Expr,
+    Ite,
+    Select,
+    Store,
+    Unary,
+    Var,
+)
 from repro.expr import ops
+
+#: Binary operators whose left operand can decide the result, with the
+#: deciding constant: ``false and _`` is ``false``, ``true or _`` is ``true``.
+_SHORT_CIRCUIT = {AND: False, OR: True}
 
 
 def free_variables(expr: Expr) -> Dict[str, Var]:
@@ -26,20 +41,37 @@ def free_variables_of(exprs: Iterable[Expr]) -> Dict[str, Var]:
     return dict(sorted(found.items()))
 
 
-def substitute(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
+def substitute(
+    expr: Expr,
+    bindings: Mapping[str, Expr],
+    memo: Optional[Dict[int, Expr]] = None,
+) -> Expr:
     """Replace variables by expressions, rebuilding through smart constructors.
 
-    Constant bindings therefore fold through the whole tree, which is how the
-    solver specializes a one-step encoding to a concrete state snapshot.
+    Constant bindings therefore fold through the whole tree, which is how
+    the one-step encoder specializes the model's step template to a
+    concrete state snapshot.
+
+    The fold is lazy: an ``Ite`` visits its condition first and, once the
+    condition folds to a constant, only the taken arm; an ``and``/``or``
+    visits its left operand first and stops when it folds to ``false`` /
+    ``true``.  The smart constructors return exactly the skipped-over
+    results (``ite(const, a, b)``, ``land(false, _)``, ``lor(true, _)``),
+    so wherever an eager fold would not raise the result is identical;
+    a fold that would only raise inside a skipped operand does not.
+
+    ``memo`` maps ``id(node)`` to the node's substituted form.  A caller
+    that substitutes several expressions under the *same* bindings may
+    pass one dict to share that work; it must keep the source nodes
+    alive while the memo is in use (ids are reused after collection).
     """
-    memo: Dict[int, Expr] = {}
+    if memo is None:
+        memo = {}
 
     def visit(node: Expr) -> Expr:
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        result = _rebuild(node, visit, bindings)
-        memo[key] = result
+        result = memo.get(id(node))
+        if result is None:
+            result = memo[id(node)] = _rebuild(node, visit, bindings)
         return result
 
     return visit(expr)
@@ -57,12 +89,25 @@ def _rebuild(node: Expr, visit, bindings: Mapping[str, Expr]) -> Expr:
         return _unary(node.op, arg)
     if isinstance(node, Binary):
         left = visit(node.left)
+        if (
+            node.op in _SHORT_CIRCUIT
+            and left is not node.left
+            and isinstance(left, Const)
+            and bool(left.value) is _SHORT_CIRCUIT[node.op]
+        ):
+            # land(false, _) / lor(true, _): the right operand is not read.
+            return _binary(node.op, left, node.right)
         right = visit(node.right)
         if left is node.left and right is node.right:
             return node
         return _binary(node.op, left, right)
     if isinstance(node, Ite):
         cond = visit(node.cond)
+        if cond is not node.cond and isinstance(cond, Const):
+            # ite(const, a, b) is the taken arm; the other is not read.
+            if cond.value:
+                return ops.ite(cond, visit(node.then), node.orelse)
+            return ops.ite(cond, node.then, visit(node.orelse))
         then = visit(node.then)
         orelse = visit(node.orelse)
         if cond is node.cond and then is node.then and orelse is node.orelse:

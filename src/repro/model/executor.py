@@ -22,10 +22,24 @@ def execute_step(compiled: CompiledModel, ctx: StepContext) -> Dict[str, object]
     :mod:`repro.kernel`, which must stay observably equivalent to this loop.
     """
     plan = compiled.plan
+    input_slots = compiled.input_slots
     outputs_per_item: List[Optional[List[object]]] = [None] * len(plan)
     actives: List[object] = [True] * len(plan)
     for item in plan:
-        run_item(compiled, item, ctx, outputs_per_item, actives)
+        input_values = _gather_inputs(
+            item, outputs_per_item, input_slots[item.index]
+        )
+        active = _item_active(item, actives, ctx)
+        actives[item.index] = active
+        ctx.active = active
+        outputs = item.block.compute(ctx, input_values)
+        if len(outputs) != item.block.n_out:
+            raise SimulationError(
+                f"{item.block.path!r} produced {len(outputs)} outputs, "
+                f"declared {item.block.n_out}"
+            )
+        item.block.update(ctx, input_values, outputs)
+        outputs_per_item[item.index] = outputs
 
     ctx.active = True
     result: Dict[str, object] = {}
@@ -34,37 +48,6 @@ def execute_step(compiled: CompiledModel, ctx: StepContext) -> Dict[str, object]
         assert values is not None
         result[name] = values[port]
     return result
-
-
-def run_item(
-    compiled: CompiledModel,
-    item: PlanItem,
-    ctx: StepContext,
-    outputs_per_item: List[Optional[List[object]]],
-    actives: List[object],
-) -> None:
-    """Execute one plan item: gather its inputs, set its activation, then
-    ``compute`` and ``update`` the block.
-
-    Its outputs land in ``outputs_per_item`` and its activation in
-    ``actives`` (both indexed by plan position), where the items that
-    depend on it read them.  :func:`execute_step` runs every item through
-    this; the one-step encoder runs only the cones its queries need.
-    """
-    input_values = _gather_inputs(
-        item, outputs_per_item, compiled.input_slots[item.index]
-    )
-    active = _item_active(item, actives, ctx)
-    actives[item.index] = active
-    ctx.active = active
-    outputs = item.block.compute(ctx, input_values)
-    if len(outputs) != item.block.n_out:
-        raise SimulationError(
-            f"{item.block.path!r} produced {len(outputs)} outputs, "
-            f"declared {item.block.n_out}"
-        )
-    item.block.update(ctx, input_values, outputs)
-    outputs_per_item[item.index] = outputs
 
 
 def _gather_inputs(

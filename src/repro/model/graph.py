@@ -10,11 +10,9 @@ produces a :class:`CompiledModel`:
   (branch parents follow the enable nesting, giving Definition 1's
   parent/depth),
 * the flattened state-element table (Definition 2's G/GV + M/ML + I/IV),
-* the static *cone* of every plan item — the items it cannot run without —
-  and the owner item of every decision and condition point, which let the
-  one-step encoder execute only what a query needs,
 * on demand, the *step template* (:meth:`CompiledModel.step_template`):
-  one symbolic step with inports and state elements alike as variables.
+  one symbolic step with inports and state elements alike as variables,
+  which the one-step encoder specializes to each concrete state.
 
 Ordering rules:
 
@@ -30,7 +28,6 @@ Ordering rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
@@ -204,7 +201,7 @@ class Model:
         self._check_wiring()
         order = self._topological_order()
         plan = self._build_plan(order)
-        registry, decision_owner, point_owner = self._register_coverage(order)
+        registry = self._register_coverage(order)
         state = self._state_table()
         return CompiledModel(
             name=self.name,
@@ -214,9 +211,6 @@ class Model:
             inports=tuple(self._inports),
             outports=tuple(self._outports),
             n_blocks=len(self._blocks),
-            store_groups=self._store_groups(order),
-            decision_owner=decision_owner,
-            point_owner=point_owner,
         )
 
     def _check_wiring(self) -> None:
@@ -276,17 +270,9 @@ class Model:
             position[block_index] = plan_index
         return tuple(plan)
 
-    def _register_coverage(
-        self, order: List[int]
-    ) -> Tuple[CoverageRegistry, Tuple[int, ...], Tuple[int, ...]]:
-        """Build the registry; also return, per decision id and per
-        condition point id, the plan index of the block that registered
-        (and therefore records) it."""
+    def _register_coverage(self, order: List[int]) -> CoverageRegistry:
         registry = CoverageRegistry()
-        parents: Dict[int, Optional[Branch]] = {}
-        decision_owner: List[int] = []
-        point_owner: List[int] = []
-        for plan_index, block_index in enumerate(order):
+        for block_index in order:
             block = self._blocks[block_index]
             enable = self._enables.get(block_index)
             parent: Optional[Branch] = None
@@ -299,29 +285,9 @@ class Model:
                 parent = enabling.branches[enable.outcome]
                 # Nest under the enabling block's own parent chain implicitly:
                 # the enabling decision was registered with its parent already.
-            parents[block_index] = parent
             block.register_coverage(registry, parent)
-            decision_owner.extend(
-                [plan_index] * (registry.n_decisions - len(decision_owner))
-            )
-            point_owner.extend(
-                [plan_index] * (registry.n_condition_points - len(point_owner))
-            )
         registry.freeze()
-        return registry, tuple(decision_owner), tuple(point_owner)
-
-    def _store_groups(self, order: List[int]) -> Tuple[Tuple[int, ...], ...]:
-        """Per data store, the plan indices of its writers and
-        ``read_current`` readers — items that must always run together,
-        because each observes the next-state writes of the ones before it."""
-        position = {block_index: i for i, block_index in enumerate(order)}
-        members: Dict[str, List[int]] = {}
-        for writer_index, store in self._store_writers:
-            members.setdefault(store, []).append(position[writer_index])
-        for reader_index, store, current in self._store_readers:
-            if current:
-                members.setdefault(store, []).append(position[reader_index])
-        return tuple(tuple(sorted(group)) for group in members.values())
+        return registry
 
     def _state_table(self) -> Dict[str, StateElement]:
         table: Dict[str, StateElement] = {}
@@ -370,12 +336,6 @@ class CompiledModel:
     inports: Tuple[InportSpec, ...]
     outports: Tuple[Tuple[str, Signal], ...]
     n_blocks: int
-    #: Plan indices of each data store's writers + ``read_current`` readers.
-    store_groups: Tuple[Tuple[int, ...], ...] = ()
-    #: Plan index of the item recording each decision (by decision id).
-    decision_owner: Tuple[int, ...] = ()
-    #: Plan index of the item recording each condition point (by point id).
-    point_owner: Tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         # Flat slot tables, resolved once per compiled model so the per-step
@@ -400,54 +360,6 @@ class CompiledModel:
             for name, signal in self.outports
         )
         self._step_template: Optional[StepTemplate] = None
-
-    @cached_property
-    def owned_records(self) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-        """Per plan item: ``(decision ids, point ids)`` it records."""
-        decisions: List[List[int]] = [[] for _ in self.plan]
-        points: List[List[int]] = [[] for _ in self.plan]
-        for decision_id, owner in enumerate(self.decision_owner):
-            decisions[owner].append(decision_id)
-        for point_id, owner in enumerate(self.point_owner):
-            points[owner].append(point_id)
-        return tuple(zip(map(tuple, decisions), map(tuple, points)))
-
-    @cached_property
-    def cones(self) -> Tuple[int, ...]:
-        """Per plan item, its static cone as a bitmask over plan indices:
-        the item itself plus everything it transitively depends on —
-        every input source (nondirect ports included: the executor
-        gathers them), the enable source, and every member of a
-        data-store group it belongs to.
-
-        Bit ``i`` of a cone is plan item ``i``, so iterating a cone's bits
-        from low to high visits its items in plan order.  Computed on
-        first use (only the one-step encoder needs cones), then kept.
-        """
-        deps: List[List[int]] = [
-            [source for source, _ in slots] for slots in self.input_slots
-        ]
-        for item in self.plan:
-            if item.enable_index is not None:
-                deps[item.index].append(item.enable_index)
-        for group in self.store_groups:
-            for member in group:
-                deps[member].extend(group)
-        cones = [1 << index for index in range(len(self.plan))]
-        # Dependencies point backwards in plan order except inside store
-        # groups (a writer depends on the readers after it), so a few
-        # sweeps reach the fixpoint.
-        changed = True
-        while changed:
-            changed = False
-            for index, sources in enumerate(deps):
-                cone = cones[index]
-                for source in sources:
-                    cone |= cones[source]
-                if cone != cones[index]:
-                    cones[index] = cone
-                    changed = True
-        return tuple(cones)
 
     def step_template(self) -> StepTemplate:
         """The model's :class:`StepTemplate`, built on first use (one

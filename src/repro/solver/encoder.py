@@ -7,12 +7,12 @@ Two encoders share the symbolic execution machinery:
   conditions therefore collapse wherever they depend on state (a transition
   whose source state is inactive folds to ``false`` immediately), which is
   the paper's central argument for solving one iteration at a time.  The
-  encoding is *demand-driven*: construction only binds the symbolic
-  context, and a query executes, once, just the static cone of the plan
-  item that records the requested decision or condition point
-  (:attr:`~repro.model.graph.CompiledModel.cones`).  Most (state, target)
-  pairs STCG visits fold to ``false`` after a few items, so the bulk of
-  the model is never executed for them; most of those never reach the
+  encoding is specialized on demand from the model's step template
+  (:meth:`~repro.model.graph.CompiledModel.step_template`, one symbolic
+  step in which the state is symbolic too): a query substitutes the
+  state's constants into just the requested template entry, and the lazy
+  fold visits only the arms the state selects.  Most (state, target)
+  pairs STCG visits fold to ``false``; most of those never reach the
   encoder at all, being refuted first by :mod:`repro.solver.guards`.
 * :class:`UnrolledEncoding` — the SLDV-like bounded encoding: ``k`` steps
   are chained symbolically from the initial state, with per-step input
@@ -30,24 +30,26 @@ from repro.errors import SolverError
 from repro.coverage.registry import Branch
 from repro.expr import ops as x
 from repro.expr.ast import Expr, FALSE, TRUE, Var
+from repro.expr.variables import substitute
 from repro.model.context import symbolic_context
-from repro.model.executor import execute_step, run_item
+from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
 from repro.model.state import ModelState
 
 
 class OneStepEncoding:
-    """Symbolic execution of one iteration from a concrete state, run on
-    demand.
+    """The one-step encoding of a concrete state, specialized on demand
+    from the model's step template.
 
-    Invariants: each plan item runs at most once per encoding; a recorded
-    outcome condition or condition atom is never replaced (entries passed
-    in — a restored warm-store encoding — are authoritative); a query runs
-    the missing items of a dependency-closed cone in plan order, and a data
-    store's writers and ``read_current`` readers share one cone, so every
-    item sees exactly the inputs, activation and store writes it sees in a
-    full step.  Answers are therefore structurally equal to those of a
-    full symbolic step (:meth:`complete`) whatever the query order.
+    Invariants: a recorded outcome condition or condition atom is never
+    replaced (entries passed in — a restored warm-store encoding — are
+    authoritative); a missing one is the template entry with the state's
+    values substituted for the state variables, folded lazily through
+    the smart constructors on one memo shared by every query of this
+    encoding.  Answers are therefore structurally equal to those of a
+    full symbolic step from the state, whatever the query order.  A
+    condition point whose evaluation context folds to ``false`` is
+    unreachable from the state and is not recorded.
     """
 
     def __init__(
@@ -68,73 +70,83 @@ class OneStepEncoding:
         self._condition_atoms: Dict[int, Tuple[List[Expr], Expr]] = (
             {} if condition_atoms is None else condition_atoms
         )
-        # ``ModelState.values`` hands out a fresh dict that execution only
-        # reads (writes land in ``ctx.next_state``); the snapshot itself
-        # is never aliased or mutated.
-        self._ctx = symbolic_context(
-            {v.name: v for v in self.variables}, state.values
-        )
-        n_items = len(compiled.plan)
-        self._outputs: List[Optional[List[object]]] = [None] * n_items
-        self._actives: List[object] = [True] * n_items
-        #: Bitmask of the plan items already run (bit i = item i).
-        self._ran = 0
+        #: State path -> its value as a constant, bound on first use.
+        self._bindings: Optional[Dict[str, Expr]] = None
+        #: id(template node) -> its specialization; the compiled model
+        #: keeps the template (and so those ids) alive.
+        self._memo: Dict[int, Expr] = {}
 
     @property
     def recorded_entries(self) -> int:
         """Outcome-condition plus condition-atom entries recorded so far."""
         return len(self._outcome_conditions) + len(self._condition_atoms)
 
+    def records(self, target_key) -> bool:
+        """Whether every entry ``target_key``'s constraint reads is
+        recorded (the generator's keys: ``("branch", branch id)`` or
+        ``("obligation", obligation)``)."""
+        kind, payload = target_key
+        if kind == "branch":
+            branch = self.compiled.registry.branch(payload)
+            return all(
+                link.decision.decision_id in self._outcome_conditions
+                for link in (branch, *branch.ancestors())
+            )
+        return payload.point_id in self._condition_atoms
+
     def complete(self) -> "OneStepEncoding":
-        """Run every item not yet run: the encoding of a full step."""
-        self._run_cone((1 << len(self.compiled.plan)) - 1)
+        """Record every entry not yet recorded: the encoding of a full step."""
+        template = self.compiled.step_template()
+        for decision_id in template.outcome_conditions:
+            self._conditions(decision_id)
+        for point_id in template.condition_atoms:
+            self._atoms(point_id)
         return self
 
-    def _run_cone(self, cone: int) -> None:
-        """Run the not-yet-run items of ``cone`` in plan order, keeping the
-        conditions and atoms they record (first record wins)."""
-        missing = cone & ~self._ran
-        if not missing:
-            return
-        compiled = self.compiled
-        plan = compiled.plan
-        ctx = self._ctx
-        owned = compiled.owned_records
-        while missing:
-            lowest = missing & -missing
-            index = lowest.bit_length() - 1
-            missing ^= lowest
-            self._ran |= lowest
-            run_item(compiled, plan[index], ctx, self._outputs, self._actives)
-            decisions, points = owned[index]
-            for decision_id in decisions:
-                conditions = ctx.outcome_conditions.get(decision_id)
-                if conditions is not None:
-                    self._outcome_conditions.setdefault(decision_id, conditions)
-            for point_id in points:
-                recorded = ctx.condition_atoms.get(point_id)
-                if recorded is not None:
-                    self._condition_atoms.setdefault(point_id, recorded)
+    def _specialize(self, expr: Expr) -> Expr:
+        bindings = self._bindings
+        if bindings is None:
+            # Lifted exactly as symbolic execution lifts a state value.
+            bindings = self._bindings = {
+                path: x.lift(value) for path, value in self.state.values.items()
+            }
+        return substitute(expr, bindings, self._memo)
 
-    def _run_owner(self, owners, record_id: int) -> None:
-        """Run the cone of the item recording decision/point ``record_id``
-        (per ``owners``); ids no item records have nothing to run."""
-        if 0 <= record_id < len(owners):
-            owner = owners[record_id]
-            if not self._ran >> owner & 1:
-                self._run_cone(self.compiled.cones[owner])
+    def _conditions(self, decision_id: int) -> Optional[List[Expr]]:
+        conditions = self._outcome_conditions.get(decision_id)
+        if conditions is None:
+            template = self.compiled.step_template().outcome_conditions
+            if decision_id not in template:
+                return None
+            conditions = self._outcome_conditions[decision_id] = [
+                self._specialize(condition)
+                for condition in template[decision_id]
+            ]
+        return conditions
+
+    def _atoms(self, point_id: int) -> Optional[Tuple[List[Expr], Expr]]:
+        recorded = self._condition_atoms.get(point_id)
+        if recorded is None:
+            entry = self.compiled.step_template().condition_atoms.get(point_id)
+            if entry is None:
+                return None
+            atoms, context = entry
+            context = self._specialize(context)
+            if context == FALSE:
+                return None
+            recorded = self._condition_atoms[point_id] = (
+                [self._specialize(atom) for atom in atoms],
+                context,
+            )
+        return recorded
 
     def branch_condition(self, branch: Branch) -> Expr:
         """The branch's local condition C under this state."""
-        decision_id = branch.decision.decision_id
-        conditions = self._outcome_conditions.get(decision_id)
+        conditions = self._conditions(branch.decision.decision_id)
         if conditions is None:
-            self._run_owner(self.compiled.decision_owner, decision_id)
-            conditions = self._outcome_conditions.get(decision_id)
-            if conditions is None:
-                raise SolverError(
-                    f"decision {branch.decision.path!r} recorded no conditions"
-                )
+            raise SolverError(
+                f"decision {branch.decision.path!r} recorded no conditions"
+            )
         return conditions[branch.outcome]
 
     def path_constraint(self, branch: Branch) -> Expr:
@@ -146,10 +158,14 @@ class OneStepEncoding:
         return constraint
 
     def next_state_expressions(self) -> Dict[str, object]:
-        """Symbolic next state (constants where untouched)."""
-        self.complete()
-        next_state = dict(self._ctx.state_env)
-        next_state.update(self._ctx.next_state)
+        """Symbolic next state (constants where untouched), from one full
+        reference step (:func:`~repro.model.executor.execute_step`)."""
+        ctx = symbolic_context(
+            {v.name: v for v in self.variables}, self.state.values
+        )
+        execute_step(self.compiled, ctx)
+        next_state = dict(ctx.state_env)
+        next_state.update(ctx.next_state)
         return next_state
 
     def obligation_constraint(self, obligation) -> Expr:
@@ -161,17 +177,13 @@ class OneStepEncoding:
         outcome — the boolean derivative of the point's structure, with the
         other atoms substituted symbolically, must be true.
         """
-        point_id = obligation.point_id
-        recorded = self._condition_atoms.get(point_id)
-        if recorded is None:
-            self._run_owner(self.compiled.point_owner, point_id)
-            recorded = self._condition_atoms.get(point_id)
+        recorded = self._atoms(obligation.point_id)
         if recorded is None:
             # The point is unreachable from this state (e.g. a transition
             # guard whose source state is inactive).
             return x.FALSE
         atoms, context = recorded
-        point = self.compiled.registry.condition_point(point_id)
+        point = self.compiled.registry.condition_point(obligation.point_id)
         atom = atoms[obligation.atom]
         polarity = atom if obligation.polarity else x.lnot(atom)
         constraint = x.land(context, polarity)
@@ -184,8 +196,6 @@ class OneStepEncoding:
     @staticmethod
     def _derivative(point, atoms: List[Expr], index: int) -> Expr:
         """Boolean derivative of the point structure w.r.t. one atom."""
-        from repro.expr.variables import substitute
-
         bind_true = {}
         bind_false = {}
         for position, atom in enumerate(atoms):

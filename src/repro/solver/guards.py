@@ -20,8 +20,9 @@ does the target's whole constraint.  A false guard is therefore exactly
 the encoder's constant-``false`` verdict, reached without encoding.  A
 guard that raises is *undecided*: the pair goes to the encoder.
 
-The template is built on the first guard query, and each target's guard
-on its first query, so runs that never solve never pay for either.
+The template is built on first use (a guard query or an encoder query),
+and each target's guard on its first query, so runs that never solve
+never pay for either.
 """
 
 from __future__ import annotations

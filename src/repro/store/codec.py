@@ -403,10 +403,10 @@ def encode_encoding(encoding, table: ExprTable) -> Dict[str, object]:
     ``variables`` (rebuilt from the compiled model on decode),
     ``compiled`` (re-attached on decode), the per-decision outcome
     conditions, and the per-point condition atoms.  Encodings are
-    demand-driven, so only the conditions and atoms computed so far are
-    persisted; the decoded encoding computes any missing one on first
-    query, exactly as the original would have.  The symbolic next state
-    is never persisted.
+    specialized on demand, so only the conditions and atoms computed so
+    far are persisted; the decoded encoding specializes any missing one
+    from the step template on first query, exactly as the original would
+    have.  The symbolic next state is never persisted.
 
     Every expression goes through the shared ``table`` (encodings of
     neighbouring states share most of their subtrees), so the payload
@@ -433,13 +433,14 @@ def decode_encoding(payload, compiled, exprs: List[Expr]):
 
     ``exprs`` is the decoded expression table
     (:func:`decode_expr_table`) the payload's node references index
-    into.  The result is a demand-driven encoding over the stored state
-    whose restored conditions and atoms are authoritative: they are
+    into.  The result is an encoding over the stored state whose
+    restored conditions and atoms are authoritative: they are
     structurally equal to what a cold build records, and a query for a
-    missing one executes that entry's cone from the stored state.  An
-    absent condition point therefore no longer means "unreachable" by
-    itself — only after its owner item has run (which is why
-    :data:`~repro.store.store.STORE_SCHEMA` moved to ``repro.store/2``).
+    missing one specializes that entry of the model's step template to
+    the stored state.  An absent condition point therefore does not
+    mean "unreachable" by itself: it may simply not have been queried
+    yet (which is why :data:`~repro.store.store.STORE_SCHEMA` is
+    ``repro.store/2``).
     """
     from repro.model.state import ModelState
     from repro.solver.encoder import OneStepEncoding

@@ -52,17 +52,19 @@ def model_digest(compiled) -> str:
     Structure alone is not enough: two models can share every inport,
     state element and registry entry while differing in a block constant
     that changes the one-step constraints.  The digest therefore also
-    folds in the symbolic encoding of one step from the initial state
-    (outcome conditions and condition atoms), which is where any
+    folds in one full symbolic step from the initial state (the outcome
+    conditions and condition atoms it records), which is where any
     semantic edit to the step function surfaces.
     """
-    from repro.model.state import ModelState
-    from repro.solver.encoder import OneStepEncoding
+    from repro.model.context import symbolic_context
+    from repro.model.executor import execute_step
 
     registry = compiled.registry
-    encoding = OneStepEncoding(
-        compiled, ModelState(compiled.initial_state())
-    ).complete()
+    step = symbolic_context(
+        {var.name: var for var in compiled.input_variables()},
+        compiled.initial_state(),
+    )
+    execute_step(compiled, step)
     description = {
         "name": compiled.name,
         "n_blocks": compiled.n_blocks,
@@ -88,7 +90,7 @@ def model_digest(compiled) -> str:
             "outcomes": {
                 str(decision_id): [encode_expr(cond) for cond in conditions]
                 for decision_id, conditions in sorted(
-                    encoding._outcome_conditions.items()
+                    step.outcome_conditions.items()
                 )
             },
             "atoms": {
@@ -97,7 +99,7 @@ def model_digest(compiled) -> str:
                     encode_expr(context),
                 ]
                 for point_id, (atoms, context) in sorted(
-                    encoding._condition_atoms.items()
+                    step.condition_atoms.items()
                 )
             },
         },

@@ -1,10 +1,10 @@
-"""Demand-driven one-step encodings answer exactly like full symbolic steps.
+"""On-demand one-step encodings answer like completed ones.
 
-``OneStepEncoding`` executes, per query, only the static cone of the plan
-item recording the requested decision or condition point.  Whatever the
-query order, every answer must be structurally equal (``==``) to the
-answer of an encoding that ran the whole step first (``complete()``),
-and ``complete()`` must record exactly what ``execute_step`` records.
+``OneStepEncoding`` records a decision's outcome conditions or a
+condition point's atoms only when a query first reads them.  Whatever the
+query order — shuffled, or later plan items before the data-store readers
+they follow — every answer must be structurally equal (``==``) to the
+answer of an encoding that recorded the whole step first (``complete()``).
 """
 
 import random
@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.coverage.collector import CoverageCollector
 from repro.model.blocks.datastore import DataStoreRead, DataStoreWrite
-from repro.model.context import symbolic_context
-from repro.model.executor import execute_step
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK
@@ -23,9 +21,14 @@ from repro.solver.encoder import OneStepEncoding
 
 MODELS = {model.name: model for model in [*BENCHMARKS, SIMPLE_CPUTASK]}
 
+_COMPILED = {}
+
 
 def compiled_model(name):
-    return MODELS[name].build()
+    """One compiled model per name: its template is built once."""
+    if name not in _COMPILED:
+        _COMPILED[name] = MODELS[name].build()
+    return _COMPILED[name]
 
 
 def reachable_state(compiled, steps, seed):
@@ -71,33 +74,14 @@ class TestQueryOrderIndependence:
         lazy = OneStepEncoding(compiled, state)
         for target in targets:
             assert answer(lazy, target) == answer(full, target), target
+        assert lazy.recorded_entries == full.recorded_entries
         assert lazy.next_state_expressions() == full.next_state_expressions()
-
-    @pytest.mark.parametrize("name", MODELS)
-    def test_complete_records_what_execute_step_records(self, name):
-        compiled = compiled_model(name)
-        state = reachable_state(compiled, 10, 3)
-        full = OneStepEncoding(compiled, state).complete()
-        variables = compiled.input_variables()
-        ctx = symbolic_context({v.name: v for v in variables}, state.values)
-        execute_step(compiled, ctx)
-        assert full._outcome_conditions == ctx.outcome_conditions
-        assert full._condition_atoms == ctx.condition_atoms
-
-    def test_single_query_runs_only_its_cone(self):
-        compiled = compiled_model("NICProtocol")
-        encoding = OneStepEncoding(compiled, reachable_state(compiled, 0, 0))
-        branch = compiled.registry.branches[0]
-        encoding.branch_condition(branch)
-        owner = compiled.decision_owner[branch.decision.decision_id]
-        assert encoding._ran == compiled.cones[owner]
-        assert encoding._ran != (1 << len(compiled.plan)) - 1
 
 
 class TestDataStoreGroups:
-    """CPUTask: a later writer's cone computed before the ``read_current``
-    reader's cone must still leave the reader, and the next state, as in
-    a full step — the store's writers and current readers run together."""
+    """CPUTask: queries of blocks after a data store's later writer and
+    its ``read_current`` reader, asked before any query of the earlier
+    blocks, must still answer as in a full step."""
 
     def _store_items(self, compiled, store):
         writers = [
@@ -112,24 +96,31 @@ class TestDataStoreGroups:
         ]
         return writers, readers
 
+    def _plan_index(self, compiled, target):
+        """Plan index of the block that records ``target``'s entry."""
+        index_of = {item.block.path: item.index for item in compiled.plan}
+        kind, payload = target
+        if kind == "branch":
+            return index_of[payload.decision.path]
+        return index_of[
+            compiled.registry.condition_point(payload.point_id).path
+        ]
+
     @given(steps=st.integers(0, 25), seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_later_writer_before_current_reader(self, steps, seed):
         compiled = compiled_model("CPUTask")
         writers, readers = self._store_items(compiled, "valid")
         assert len(writers) >= 2 and readers
+        assert writers[-1] < readers[0]
         state = reachable_state(compiled, steps, seed)
+        targets = sorted(
+            all_targets(compiled),
+            key=lambda target: -self._plan_index(compiled, target),
+        )
+        assert self._plan_index(compiled, targets[0]) > writers[-1]
         full = OneStepEncoding(compiled, state).complete()
         lazy = OneStepEncoding(compiled, state)
-        lazy._run_cone(compiled.cones[writers[-1]])
-        lazy._run_cone(compiled.cones[readers[0]])
-        assert lazy._outputs[readers[0]] == full._outputs[readers[0]]
-        for target in all_targets(compiled):
+        for target in targets:
             assert answer(lazy, target) == answer(full, target), target
         assert lazy.next_state_expressions() == full.next_state_expressions()
-
-    def test_group_members_share_one_cone(self):
-        compiled = compiled_model("CPUTask")
-        writers, readers = self._store_items(compiled, "valid")
-        cones = {compiled.cones[index] for index in writers + readers}
-        assert len(cones) == 1

@@ -5,7 +5,7 @@ encoding.  A false guard must mean the target's one-step constraint is
 the constant ``false`` (soundness), taking the same ``const_false`` exit
 the encoder's verdict takes, so fixed-seed runs are bit-identical with
 guards on or patched to "undecided".  The step template behind them is
-built on the first guard query only.
+built on first use only.
 """
 
 import hashlib
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.core import StcgConfig, StcgGenerator
-from repro.core.config import FuzzConfig
+from repro.core.config import FuzzConfig, StoreConfig
 from repro.coverage.collector import CoverageCollector
 from repro.errors import EvalError
 from repro.expr import ops as x
@@ -94,18 +94,23 @@ class TestSoundness:
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_specialized_template_equals_the_encoding(self, name):
+        """The template, specialized to a state, records what one full
+        symbolic step from that state records."""
         compiled = BUILDERS[name]()
         template = compiled.step_template()
         state = reachable_states(compiled)[-1]
-        encoding = OneStepEncoding(compiled, state).complete()
+        step = symbolic_context(
+            {v.name: v for v in compiled.input_variables()}, state.values
+        )
+        execute_step(compiled, step)
         bindings = {p: x.lift(v) for p, v in state.values.items()}
-        for decision_id, conditions in encoding._outcome_conditions.items():
+        for decision_id, conditions in step.outcome_conditions.items():
             assert [
                 substitute(c, bindings)
                 for c in template.outcome_conditions[decision_id]
             ] == conditions
         for point_id, (atoms, context) in template.condition_atoms.items():
-            recorded = encoding._condition_atoms.get(point_id)
+            recorded = step.condition_atoms.get(point_id)
             context = substitute(context, bindings)
             if recorded is None:
                 assert context == x.FALSE
@@ -220,7 +225,25 @@ def test_skip_constant_false_off_never_consults_a_guard(monkeypatch):
     result = generator.run()
     assert result.stats["solver_calls"] > 0
     assert result.stats["const_false_skips"] == 0
-    assert generator.compiled._step_template is None
+
+
+@pytest.mark.parametrize("name", ["CPUTask", "NICProtocol"])
+def test_warm_rerun_consults_no_guard(name, tmp_path, monkeypatch):
+    """Every pair a warm rerun solves was solved, not folded, by the run
+    that filled the store, so its restored encoding already records what
+    the target reads: no guard is asked and no template is built."""
+    config = _config(store=StoreConfig(path=str(tmp_path)))
+    cold = StcgGenerator(get_benchmark(name).build(), config, FakeClock()).run()
+
+    def forbidden(self, key, state):
+        raise AssertionError(f"guard consulted on a warm rerun: {key!r}")
+
+    monkeypatch.setattr(StateGuards, "refutes", forbidden)
+    compiled = get_benchmark(name).build()
+    warm = StcgGenerator(compiled, config, FakeClock()).run()
+    assert warm.stats["store_hits"] == 1
+    assert [c.inputs for c in warm.suite] == [c.inputs for c in cold.suite]
+    assert compiled._step_template is None
 
 
 @pytest.mark.parametrize("make", [StcgGenerator, FuzzGenerator])

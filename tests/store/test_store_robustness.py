@@ -10,6 +10,8 @@ observable.
 import json
 import os
 
+import pytest
+
 from repro.cache import SolveCache
 from repro.core.config import StcgConfig, StoreConfig
 from repro.core.stcg import StcgGenerator
@@ -242,6 +244,28 @@ class TestDigests:
         gen.run()
         assert gen.stats["store_hits"] == 0
         assert gen.stats["restored_verdicts"] == 0
+
+    #: ``model_digest`` of every registry model, as computed when the
+    #: digest still folded in a one-step *encoding* of the initial state;
+    #: stores written then must stay valid (``STORE_SCHEMA`` unchanged).
+    REGISTRY_DIGESTS = {
+        "CPUTask": "bd25fe597787256c976bb80e51b828521c26ca964cb93ffc61153e5f322524d3",
+        "AFC": "490c7ea5800079d2dbe53c0bc6c5468a89f4c256f7c8862092509b3028146c73",
+        "TWC": "932260bc26635f88150cb7afaeb50b87cfa75c05e82c8a18a1b1bb57a6ae263f",
+        "NICProtocol": "db83fedb2a479438d46fa21ca82ba5218bfb8bd28866e11b04153c056badfd9f",
+        "UTPC": "404b3cb1861c80bfd99d36552c977816109a101efbccd139d28d99cd9c6ed643",
+        "LANSwitch": "ba01c1f3bfa94447fab8da8e283d3224f203f0b7df2741a5e015d78fa1e86bd7",
+        "LEDLC": "087a783360c752bc9f15e9e5e0de8a5dd28e6034955c7f0fc1546583d7ba7de7",
+        "TCP": "2063c9170030591a2ea83e365b9037c96e162311b63249c956d71732f3b036ad",
+    }
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY_DIGESTS))
+    def test_registry_digests_are_pinned(self, name):
+        from repro.models.registry import get_benchmark
+
+        digest = model_digest(get_benchmark(name).build())
+        assert digest == self.REGISTRY_DIGESTS[name]
+        assert STORE_SCHEMA == "repro.store/2"
 
     def test_config_edit_changes_the_digest(self):
         base = StcgConfig(budget_s=1.0, seed=0)
