@@ -6,12 +6,10 @@ both against one full symbolic ``execute_step`` from the state (the
 reference step).
 
 * encoder mode: a fresh ``OneStepEncoding`` is asked for every branch
-  and obligation constraint in a shuffled order, and so is a codec
-  round trip of an encoding that had answered only a random part of
-  them (restored entries are authoritative, the rest is specialized on
-  demand).  Every answer must be structurally equal to the answer read
-  off the reference step, and a ``complete()`` encoding must record
-  exactly what the reference step records.
+  and obligation constraint in a shuffled order.  Every answer must be
+  structurally equal to the answer read off the reference step, and a
+  ``complete()`` encoding must record exactly what the reference step
+  records.
 * template mode: the model's step template, specialized to the state by
   ``substitute``, must give outcome conditions and condition atoms
   structurally equal to the reference step's (a point the step does not
@@ -24,7 +22,6 @@ Exits non-zero on any mismatch.  Run:
     PYTHONPATH=src python devtools/encoding_check.py [model ...]
 """
 
-import json
 import random
 import sys
 import time
@@ -39,12 +36,6 @@ from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK
 from repro.solver.encoder import OneStepEncoding
 from repro.solver.guards import StateGuards
-from repro.store.codec import (
-    ExprTable,
-    decode_encoding,
-    decode_expr_table,
-    encode_encoding,
-)
 
 
 def reachable_states(compiled, steps=60, samples=30, seed=5):
@@ -85,34 +76,35 @@ def reference_step(compiled, state):
     return ctx
 
 
-def reference_answers(compiled, state, ctx, all_targets):
-    """Every target's constraint read off the reference step ``ctx``: an
-    encoding holding exactly its entries, and ``false`` for the points
-    it does not record (unreachable from ``state``)."""
-    reference = OneStepEncoding(
-        compiled,
-        state,
-        outcome_conditions=dict(ctx.outcome_conditions),
-        condition_atoms=dict(ctx.condition_atoms),
-    )
-    return [
-        x.FALSE
-        if kind == "obligation" and payload.point_id not in ctx.condition_atoms
-        else answer(reference, (kind, payload))
-        for kind, payload in all_targets
-    ]
-
-
-def round_trip(encoding):
-    """``encoding`` through the warm-store codec and JSON."""
-    table = ExprTable()
-    payload = json.loads(json.dumps(encode_encoding(encoding, table)))
-    exprs = decode_expr_table(json.loads(json.dumps(table.nodes)))
-    return decode_encoding(payload, encoding.compiled, exprs)
+def reference_answer(compiled, ctx, target):
+    """``target``'s constraint read off the reference step ``ctx``;
+    ``false`` for a point the step does not record (unreachable)."""
+    kind, payload = target
+    if kind == "branch":
+        conditions = ctx.outcome_conditions
+        constraint = conditions[payload.decision.decision_id][payload.outcome]
+        for ancestor in payload.ancestors():
+            constraint = x.land(
+                constraint,
+                conditions[ancestor.decision.decision_id][ancestor.outcome],
+            )
+        return constraint
+    recorded = ctx.condition_atoms.get(payload.point_id)
+    if recorded is None:
+        return x.FALSE
+    atoms, context = recorded
+    atom = atoms[payload.atom]
+    constraint = x.land(context, atom if payload.polarity else x.lnot(atom))
+    if payload.determining:
+        point = compiled.registry.condition_point(payload.point_id)
+        constraint = x.land(
+            constraint, OneStepEncoding._derivative(point, atoms, payload.atom)
+        )
+    return constraint
 
 
 def check_encoder(compiled, state, all_targets, rng):
-    """Fresh and restored partial encodings vs. the reference step."""
+    """A fresh encoding, asked in a shuffled order, vs. the reference step."""
     found = []
     ctx = reference_step(compiled, state)
     full = OneStepEncoding(compiled, state).complete()
@@ -121,19 +113,12 @@ def check_encoder(compiled, state, all_targets, rng):
         or full._condition_atoms != ctx.condition_atoms
     ):
         found.append("complete() != execute_step")
-    expected = reference_answers(compiled, state, ctx, all_targets)
-    order = list(range(len(all_targets)))
-    rng.shuffle(order)
+    targets = list(all_targets)
+    rng.shuffle(targets)
     fresh = OneStepEncoding(compiled, state)
-    partial = OneStepEncoding(compiled, state)
-    for index in order[: rng.randrange(len(order) + 1)]:
-        answer(partial, all_targets[index])
-    restored = round_trip(partial)
-    rng.shuffle(order)
-    for label, encoding in (("fresh", fresh), ("restored", restored)):
-        for index in order:
-            if answer(encoding, all_targets[index]) != expected[index]:
-                found.append((label, all_targets[index]))
+    for target in targets:
+        if answer(fresh, target) != reference_answer(compiled, ctx, target):
+            found.append(target)
     return found
 
 
@@ -166,11 +151,10 @@ def check_template(compiled, state, all_targets, guards):
     if ctx.condition_atoms.keys() - template.condition_atoms.keys():
         found.append("points missing from the template")
     refuted = 0
-    expected = reference_answers(compiled, state, ctx, all_targets)
-    for target, constraint in zip(all_targets, expected):
+    for target in all_targets:
         if guards.refutes(guard_key(target), state):
             refuted += 1
-            if constraint != x.FALSE:
+            if reference_answer(compiled, ctx, target) != x.FALSE:
                 found.append(("unsound guard", target))
     return found, refuted
 

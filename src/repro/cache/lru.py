@@ -59,10 +59,6 @@ class LRUCache:
             self._data.popitem(last=False)
             self.evictions += 1
 
-    def peek(self, key, default=None):
-        """Look up ``key`` with no counter traffic and no recency update."""
-        return self._data.get(key, default)
-
     def __contains__(self, key) -> bool:  # no counter traffic
         return key in self._data
 

@@ -126,12 +126,6 @@ class SolveCache:
             self.encodings.put(fingerprint, encoding)
         return encoding
 
-    @property
-    def encoding_entries(self) -> int:
-        """Conditions and atoms recorded across the cached encodings — it
-        grows whenever a query extends an encoding, restored or not."""
-        return sum(e.recorded_entries for _, e in self.encodings.items())
-
     # -- compiled constraints ------------------------------------------
 
     def compiled_constraint(self, fingerprint: str, target_key, factory):
@@ -194,20 +188,18 @@ class SolveCache:
     def export_folds(self) -> Dict[str, object]:
         """The cache's persistable derived state (see :mod:`repro.store`).
 
-        Four folds: dead verdicts, compiled-LRU keys (persisted as
+        Three folds: dead verdicts, compiled-LRU keys (persisted as
         first-visit *markers* — a warm run recompiles the bundle, which
-        is pinned bit-identical to interpreting), the contraction
-        snapshots those bundles carried, and the one-step encodings.
-        LRU folds are emitted in eviction order so a restore reproduces
-        the original eviction behaviour exactly.  Export reads the LRUs
-        through :meth:`~repro.cache.lru.LRUCache.items` — no counter or
-        recency traffic, so exporting is pure observation.
+        is pinned bit-identical to interpreting), and the contraction
+        snapshots those bundles carried.  One-step encodings are not
+        persisted: a warm run re-specializes them from the step
+        template, which is cheaper than decoding them.  Markers are
+        emitted in eviction order so a restore reproduces the original
+        eviction behaviour exactly.  Export reads the LRU through
+        :meth:`~repro.cache.lru.LRUCache.items` — no counter or recency
+        traffic, so exporting is pure observation.
         """
-        from repro.store.codec import (
-            ExprTable,
-            encode_encoding,
-            encode_target_key,
-        )
+        from repro.store.codec import encode_target_key
 
         fps: list = []
         fp_index: Dict[str, int] = {}
@@ -263,33 +255,24 @@ class SolveCache:
                     },
                 ]
             )
-        table = ExprTable()
-        items = [
-            [intern(fingerprint), encode_encoding(encoding, table)]
-            for fingerprint, encoding in self.encodings.items()
-        ]
         return {
             "fps": fps,
             "verdicts": verdicts,
             "markers": markers,
             "snapshots": snapshots,
-            "encodings": {"table": table.nodes, "items": items},
         }
 
-    def restore_folds(self, payload, compiled_model) -> Dict[str, int]:
+    def restore_folds(self, payload) -> Dict[str, int]:
         """Load :meth:`export_folds` output; returns per-fold counts.
 
         Decode-then-apply: every artifact is decoded into staging lists
         first, so a malformed payload raises *before* the cache mutates
-        and the caller can fall back to a fully cold start.
+        and the caller can fall back to a fully cold start.  Keys this
+        method does not know (an ``encodings`` fold written by an older
+        build) are ignored.
         """
         from repro.solver.interval import Interval
-        from repro.store.codec import (
-            CodecError,
-            decode_encoding,
-            decode_expr_table,
-            decode_target_key,
-        )
+        from repro.store.codec import CodecError, decode_target_key
 
         fps = payload.get("fps", [])
         if not isinstance(fps, list):
@@ -321,16 +304,6 @@ class SolveCache:
             )
             for index, key, feasible, snapshot in payload.get("snapshots", [])
         ]
-        raw_encodings = payload.get("encodings", {})
-        if not isinstance(raw_encodings, dict):
-            raise CodecError(
-                f"malformed encodings fold {type(raw_encodings).__name__}"
-            )
-        exprs = decode_expr_table(raw_encodings.get("table", []))
-        staged_encodings = [
-            (fp(index), decode_encoding(encoded, compiled_model, exprs))
-            for index, encoded in raw_encodings.get("items", [])
-        ]
         if self.verdicts_enabled:
             for fingerprint, target_key, counts_failure in staged_verdicts:
                 self._dead[(fingerprint, target_key)] = counts_failure
@@ -340,13 +313,10 @@ class SolveCache:
             self._restored_contraction[(fingerprint, target_key)] = (
                 feasible, snapshot,
             )
-        for fingerprint, encoding in staged_encodings:
-            self.encodings.put(fingerprint, encoding)
         return {
             "verdicts": len(staged_verdicts) if self.verdicts_enabled else 0,
             "markers": len(staged_markers),
             "snapshots": len(staged_snapshots),
-            "encodings": len(staged_encodings),
         }
 
     # -- telemetry -----------------------------------------------------

@@ -381,7 +381,6 @@ def _print_store_line(stats) -> None:
         int(stats.get("restored_verdicts", 0))
         + int(stats.get("restored_markers", 0))
         + int(stats.get("restored_snapshots", 0))
-        + int(stats.get("restored_encodings", 0))
     )
     print(
         f"store: hits={stats.get('store_hits', 0)} "

@@ -26,9 +26,6 @@ from typing import Dict, Iterator, List, Optional, Set
 
 from repro.model.state import ModelState
 
-#: Schema tag of the serialized state tree (:meth:`StateTree.to_payload`).
-TREE_SCHEMA = "repro.state_tree/1"
-
 
 class StateTreeNode:
     """One explored model state (Definition 3: ⟨P, S, IN, SB, CV⟩)."""
@@ -202,104 +199,6 @@ class StateTree:
     def find_by_state(self, state: ModelState) -> Optional[StateTreeNode]:
         """First node holding an identical state (duplicate detection)."""
         return self._canonical.get(state.fingerprint())
-
-    # -- serialization (the warm-start store) ---------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        """A stable JSON-safe snapshot of the whole tree.
-
-        Nodes are emitted in ``node_id`` order (ids are list indices, so
-        the order also reconstructs parent-before-child), values go
-        through the exact store codec (tuples tagged, floats via
-        ``repr``), and the shared solved/obligation bookkeeping is
-        emitted once per state fingerprint — mirroring how the live tree
-        shares those sets between duplicate-state nodes.
-        """
-        from repro.store.codec import encode_values
-
-        nodes = []
-        for node in self._nodes:
-            nodes.append(
-                {
-                    "parent": (
-                        node.parent.node_id if node.parent is not None else None
-                    ),
-                    "input": (
-                        encode_values(node.input)
-                        if node.input is not None
-                        else None
-                    ),
-                    "state": encode_values(node.state.values),
-                    "covered": sorted(node.covered_branches),
-                }
-            )
-        return {
-            "schema": TREE_SCHEMA,
-            "dedup": self.dedup,
-            "nodes": nodes,
-            "solved": {
-                fingerprint: sorted(branch_ids)
-                for fingerprint, branch_ids in self._shared_solved.items()
-                if branch_ids
-            },
-            "obligations": {
-                fingerprint: sorted(
-                    [ob.point_id, ob.atom, ob.polarity, ob.determining]
-                    for ob in obligations
-                )
-                for fingerprint, obligations in self._shared_obligations.items()
-                if obligations
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "StateTree":
-        """Rebuild a tree from :meth:`to_payload` output.
-
-        Replaying ``add_child`` in node order reconstructs fingerprints,
-        canonical links, the dedup-aware solve-node list and
-        ``dedup_links`` exactly; the shared solved/obligation sets are
-        then refilled in place so every node referencing them sees the
-        restored bookkeeping.  Raises on any malformed payload — the
-        store layer turns that into a cold start.
-        """
-        from repro.coverage.collector import ConditionObligation
-        from repro.store.codec import CodecError, decode_values
-
-        if payload.get("schema") != TREE_SCHEMA:
-            raise CodecError(
-                f"not a {TREE_SCHEMA} payload: {payload.get('schema')!r}"
-            )
-        nodes = payload["nodes"]
-        if not nodes or nodes[0]["parent"] is not None:
-            raise CodecError("tree payload must start with a parentless root")
-        tree = cls(
-            ModelState(decode_values(nodes[0]["state"])),
-            dedup=bool(payload.get("dedup", True)),
-        )
-        tree.root.covered_branches = set(nodes[0]["covered"])
-        for raw in nodes[1:]:
-            parent_id = raw["parent"]
-            if not 0 <= parent_id < len(tree._nodes):
-                raise CodecError(f"tree payload parent {parent_id!r} out of range")
-            node = tree.add_child(
-                tree._nodes[parent_id],
-                ModelState(decode_values(raw["state"])),
-                decode_values(raw["input"]),
-            )
-            node.covered_branches = set(raw["covered"])
-        for fingerprint, branch_ids in payload.get("solved", {}).items():
-            tree._shared_solved.setdefault(fingerprint, set()).update(
-                int(branch_id) for branch_id in branch_ids
-            )
-        for fingerprint, obligations in payload.get("obligations", {}).items():
-            tree._shared_obligations.setdefault(fingerprint, set()).update(
-                ConditionObligation(
-                    int(ob[0]), int(ob[1]), bool(ob[2]), bool(ob[3])
-                )
-                for ob in obligations
-            )
-        return tree
 
     def render(self, max_nodes: int = 64) -> str:
         """ASCII rendering (Figure 3(b) style)."""

@@ -196,7 +196,6 @@ class StcgGenerator:
                 restored_verdicts=0,
                 restored_markers=0,
                 restored_snapshots=0,
-                restored_encodings=0,
                 corpus_seeds=0,
             )
         #: Derived-state sizes right after a successful warm-start
@@ -396,14 +395,8 @@ class StcgGenerator:
         skip_false = self.config.skip_constant_false
         # A false state guard is the encoder's constant-false verdict,
         # reached without specializing the template (repro.solver.guards).
-        # A cached encoding that already records what the target reads
-        # gives the same verdict as cheaply, so the guard is not asked.
-        # The peek moves no LRU counter or recency: eviction is unchanged.
-        cached = self.cache.encodings.peek(fingerprint)
-        constant_false = (
-            skip_false
-            and (cached is None or not cached.records(target_key))
-            and self._guards.refutes(target_key, node.state)
+        constant_false = skip_false and self._guards.refutes(
+            target_key, node.state
         )
         if not constant_false:
             with self.tracer.span("encode"):
@@ -682,7 +675,7 @@ class StcgGenerator:
         folds = payload.get("cache")
         if folds is not None:
             try:
-                counts = self.cache.restore_folds(folds, self.compiled)
+                counts = self.cache.restore_folds(folds)
             except Exception:
                 # restore_folds stages all decodes before applying, so
                 # the cache is untouched here — the run is simply cold.
@@ -691,50 +684,30 @@ class StcgGenerator:
             self.stats["restored_verdicts"] += counts["verdicts"]
             self.stats["restored_markers"] += counts["markers"]
             self.stats["restored_snapshots"] += counts["snapshots"]
-            self.stats["restored_encodings"] += counts["encodings"]
         self.stats["store_hits"] += 1
-        tree_payload = payload.get("tree")
-        self._store_snapshot = self._derived_sizes(
-            len(tree_payload["nodes"])
-            if isinstance(tree_payload, dict)
-            and isinstance(tree_payload.get("nodes"), list)
-            else -1
-        )
+        self._store_snapshot = self._derived_sizes()
         return payload
 
-    def _derived_sizes(self, tree_size: int) -> tuple:
-        """The skip-save fingerprint: sizes of every persisted fold."""
-        return (
-            self.cache.verdict_entries,
-            len(self.cache.encodings),
-            self.cache.encoding_entries,
-            len(self.cache.compiled),
-            tree_size,
-        )
+    def _derived_sizes(self) -> tuple:
+        """The skip-save fingerprint: sizes of the persisted cache folds."""
+        return (self.cache.verdict_entries, len(self.cache.compiled))
 
     def _store_save(self, extra: Optional[Dict[str, object]] = None) -> None:
         """Persist this run's derived state; best-effort, never raises.
 
-        A warm run that learned nothing — same verdict/encoding/compiled
-        counts, recorded encoding entries and tree size as right after
-        the restore, which a bit-identical equal-budget rerun always
-        hits — skips the write: the stored document is already the
-        fixed point, and skipping keeps the warm path's end-to-end cost
-        at load + solve.  A run that only extended restored encodings
-        still writes them back.  Runs with ``extra`` payloads (the fuzz
-        corpus) always write.
+        A warm run that learned nothing — the same verdict count and
+        compiled-LRU size as right after the restore, which a
+        bit-identical equal-budget rerun always hits — skips the write:
+        the stored document is already the fixed point, and skipping
+        keeps the warm path's end-to-end cost at load + solve.  Runs
+        with ``extra`` payloads (the fuzz corpus) always write.
         """
         if self.store is None or not self.config.store.write:
             return
-        if extra is None and self._store_snapshot == self._derived_sizes(
-            len(self.tree)
-        ):
+        if extra is None and self._store_snapshot == self._derived_sizes():
             return
         try:
-            payload: Dict[str, object] = {
-                "tree": self.tree.to_payload(),
-                "cache": self.cache.export_folds(),
-            }
+            payload: Dict[str, object] = {"cache": self.cache.export_folds()}
             if extra:
                 payload.update(extra)
             if self.store.save(payload):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.expr import ast
 from repro.expr.ast import Binary, Const, Expr, Ite, Select, Store, Unary, Var
 
@@ -91,6 +93,8 @@ def _render_const(expr: Const) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return "[" + ", ".join(str(v) for v in value) + "]"
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # inf, -inf, nan: int() would raise
     if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
         return f"{value:.1f}"
     return str(value)

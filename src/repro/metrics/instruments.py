@@ -96,7 +96,6 @@ _STORE_COUNTERS = (
     "restored_verdicts",
     "restored_markers",
     "restored_snapshots",
-    "restored_encodings",
     "corpus_seeds",
 )
 

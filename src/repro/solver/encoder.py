@@ -42,8 +42,7 @@ class OneStepEncoding:
     from the model's step template.
 
     Invariants: a recorded outcome condition or condition atom is never
-    replaced (entries passed in — a restored warm-store encoding — are
-    authoritative); a missing one is the template entry with the state's
+    replaced; a missing one is the template entry with the state's
     values substituted for the state variables, folded lazily through
     the smart constructors on one memo shared by every query of this
     encoding.  Answers are therefore structurally equal to those of a
@@ -52,47 +51,19 @@ class OneStepEncoding:
     unreachable from the state and is not recorded.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledModel,
-        state: ModelState,
-        outcome_conditions: Optional[Dict[int, List[Expr]]] = None,
-        condition_atoms: Optional[Dict[int, Tuple[List[Expr], Expr]]] = None,
-    ):
+    def __init__(self, compiled: CompiledModel, state: ModelState):
         self.compiled = compiled
         self.state = state
         self.variables: List[Var] = compiled.input_variables()
         #: decision id -> outcome conditions recorded so far.
-        self._outcome_conditions: Dict[int, List[Expr]] = (
-            {} if outcome_conditions is None else outcome_conditions
-        )
+        self._outcome_conditions: Dict[int, List[Expr]] = {}
         #: point id -> (atoms, evaluation context) recorded so far.
-        self._condition_atoms: Dict[int, Tuple[List[Expr], Expr]] = (
-            {} if condition_atoms is None else condition_atoms
-        )
+        self._condition_atoms: Dict[int, Tuple[List[Expr], Expr]] = {}
         #: State path -> its value as a constant, bound on first use.
         self._bindings: Optional[Dict[str, Expr]] = None
         #: id(template node) -> its specialization; the compiled model
         #: keeps the template (and so those ids) alive.
         self._memo: Dict[int, Expr] = {}
-
-    @property
-    def recorded_entries(self) -> int:
-        """Outcome-condition plus condition-atom entries recorded so far."""
-        return len(self._outcome_conditions) + len(self._condition_atoms)
-
-    def records(self, target_key) -> bool:
-        """Whether every entry ``target_key``'s constraint reads is
-        recorded (the generator's keys: ``("branch", branch id)`` or
-        ``("obligation", obligation)``)."""
-        kind, payload = target_key
-        if kind == "branch":
-            branch = self.compiled.registry.branch(payload)
-            return all(
-                link.decision.decision_id in self._outcome_conditions
-                for link in (branch, *branch.ancestors())
-            )
-        return payload.point_id in self._condition_atoms
 
     def complete(self) -> "OneStepEncoding":
         """Record every entry not yet recorded: the encoding of a full step."""

@@ -1,12 +1,14 @@
 """Persistent cross-run warm-start store (ROADMAP item 2, first half).
 
-The store persists a generation run's *derived* state — the state tree,
-the solve-cache folds (UNSAT verdicts, compiled-bundle first-visit
-markers, contraction snapshots, one-step encodings) and the fuzz corpus
-— keyed by ``(model digest, config-relevant digest, schema version)``,
-so a later run on the same model warm-starts instead of re-deriving
-everything from scratch.  See DESIGN.md, "Store integrity and
-invalidation", for the key-derivation and bit-identity arguments.
+The store persists only the *derived* state a warm run restores — the
+three solve-cache folds (UNSAT verdicts, compiled-bundle first-visit
+markers, contraction snapshots) and the fuzz corpus — keyed by
+``(model digest, config-relevant digest, schema version)``, so a later
+run on the same model warm-starts instead of re-deriving it.  One-step
+encodings and the state tree are not persisted: a warm run re-derives
+them more cheaply than it could decode them.  See DESIGN.md, "Store
+integrity and invalidation", for the key-derivation and bit-identity
+arguments.
 """
 
 from repro.store.codec import CodecError

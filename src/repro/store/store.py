@@ -47,7 +47,7 @@ def _sha(blob: str) -> str:
 
 
 def model_digest(compiled) -> str:
-    """Digest of everything solve/tree artifacts depend on in the model.
+    """Digest of everything a stored document depends on in the model.
 
     Structure alone is not enough: two models can share every inport,
     state element and registry entry while differing in a block constant
@@ -115,8 +115,7 @@ def config_digest(config) -> str:
     replaying one into a run that would have solved the pair instead
     would desynchronize the failure-backoff bookkeeping.  Budgets, seeds
     and observation flags (trace/metrics/provenance) are excluded: none
-    of them changes the validity of a verdict, a snapshot, or an
-    encoding.
+    of them changes the validity of a verdict, a marker or a snapshot.
     """
     description = {
         "skip_constant_false": bool(config.skip_constant_false),

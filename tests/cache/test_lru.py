@@ -64,15 +64,6 @@ class TestEviction:
         cache.put("c", 3)
         assert "a" in cache and "b" not in cache
 
-    def test_peek_neither_counts_nor_refreshes_recency(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.peek("a") == 1 and cache.peek("z") is None
-        assert cache.hits == 0 and cache.misses == 0
-        cache.put("c", 3)  # "a" is still the LRU entry
-        assert "a" not in cache and "b" in cache
-
     def test_size_never_exceeds_capacity(self):
         cache = LRUCache(3)
         for index in range(50):

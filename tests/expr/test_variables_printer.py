@@ -124,3 +124,9 @@ class TestPrinter:
     def test_store_rendering(self):
         arr = Var("a", ArrayType(INT, 3))
         assert to_string(x.store(arr, I, J)) == "store(a, i, j)"
+
+    def test_division_by_zero_constant_renders(self):
+        assert to_string(x.div(Const(1), Const(0))) == "inf"
+
+    def test_nan_constant_renders(self):
+        assert repr(Const(float("nan"))) == "<Expr nan>"

@@ -228,22 +228,28 @@ def test_skip_constant_false_off_never_consults_a_guard(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["CPUTask", "NICProtocol"])
-def test_warm_rerun_consults_no_guard(name, tmp_path, monkeypatch):
-    """Every pair a warm rerun solves was solved, not folded, by the run
-    that filled the store, so its restored encoding already records what
-    the target reads: no guard is asked and no template is built."""
+def test_warm_rerun_guards_refute_nothing(name, tmp_path, monkeypatch):
+    """The run that filled the store marked every constant-false pair
+    dead, so a warm rerun verdict-skips all of them before any guard is
+    asked: the guards it does consult never refute."""
     config = _config(store=StoreConfig(path=str(tmp_path)))
     cold = StcgGenerator(get_benchmark(name).build(), config, FakeClock()).run()
+    assert cold.stats["const_false_skips"] > 0
 
-    def forbidden(self, key, state):
-        raise AssertionError(f"guard consulted on a warm rerun: {key!r}")
+    refutes = StateGuards.refutes
+    answers = []
 
-    monkeypatch.setattr(StateGuards, "refutes", forbidden)
-    compiled = get_benchmark(name).build()
-    warm = StcgGenerator(compiled, config, FakeClock()).run()
+    def spy(self, key, state):
+        answers.append(refutes(self, key, state))
+        return answers[-1]
+
+    monkeypatch.setattr(StateGuards, "refutes", spy)
+    warm = StcgGenerator(get_benchmark(name).build(), config, FakeClock()).run()
     assert warm.stats["store_hits"] == 1
+    assert answers and True not in answers
+    assert warm.stats["const_false_skips"] == 0
     assert [c.inputs for c in warm.suite] == [c.inputs for c in cold.suite]
-    assert compiled._step_template is None
+    assert [c.origin for c in warm.suite] == [c.origin for c in cold.suite]
 
 
 @pytest.mark.parametrize("make", [StcgGenerator, FuzzGenerator])

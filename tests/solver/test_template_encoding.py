@@ -3,12 +3,10 @@
 ``OneStepEncoding`` answers a decision or condition point it has not
 recorded yet by substituting the state's constants into the model's step
 template, folding lazily on one memo per encoding.  Whatever the query
-order, and whichever entries were restored from the warm store, every
-answer must be structurally equal (``==``) to the answer read off one
-full ``execute_step`` from the same state.
+order, every answer must be structurally equal (``==``) to the answer
+read off one full ``execute_step`` from the same state.
 """
 
-import json
 import random
 
 import pytest
@@ -40,12 +38,6 @@ from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK
 from repro.solver.encoder import OneStepEncoding
-from repro.store.codec import (
-    ExprTable,
-    decode_encoding,
-    decode_expr_table,
-    encode_encoding,
-)
 
 from tests.conftest import build_counter_model, build_queue_model
 
@@ -159,52 +151,10 @@ class TestFreshEncoding:
         encoding = OneStepEncoding(compiled, reachable_state(compiled, 0, 0))
         branch = compiled.registry.branches[0]
         encoding.branch_condition(branch)
-        assert encoding.recorded_entries == 1
-        assert branch.decision.decision_id in encoding._outcome_conditions
-
-
-class TestRestoredEncoding:
-    """A codec round trip of a partially queried encoding keeps its
-    entries authoritative and specializes the rest on demand."""
-
-    @pytest.mark.parametrize("name", BUILDERS)
-    @given(
-        steps=st.integers(0, 25),
-        seed=st.integers(0, 10_000),
-        share=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_partial_restore_answers_match(self, name, steps, seed, share):
-        compiled = compiled_model(name)
-        state = reachable_state(compiled, steps, seed)
-        targets = all_targets(compiled)
-        rng = random.Random(seed)
-        rng.shuffle(targets)
-        partial = OneStepEncoding(compiled, state)
-        for target in targets[: int(share * len(targets))]:
-            answer(partial, target)
-        table = ExprTable()
-        payload = json.loads(json.dumps(encode_encoding(partial, table)))
-        exprs = decode_expr_table(json.loads(json.dumps(table.nodes)))
-        restored = decode_encoding(payload, compiled, exprs)
-        assert restored.recorded_entries == partial.recorded_entries
-        reference = ReferenceStep(compiled, state)
-        rng.shuffle(targets)
-        for target in targets:
-            assert answer(restored, target) == reference.answer(target), target
-
-    def test_restored_entries_are_authoritative(self):
-        compiled = compiled_model("CPUTask")
-        state = reachable_state(compiled, 5, 1)
-        branch = compiled.registry.branches[0]
-        decision = branch.decision
-        planted = [Var(f"planted{i}", BOOL) for i in range(decision.n_outcomes)]
-        encoding = OneStepEncoding(
-            compiled, state, outcome_conditions={decision.decision_id: planted}
-        )
-        assert encoding.branch_condition(branch) is planted[branch.outcome]
-        encoding.complete()
-        assert encoding._outcome_conditions[decision.decision_id] is planted
+        assert list(encoding._outcome_conditions) == [
+            branch.decision.decision_id
+        ]
+        assert not encoding._condition_atoms
 
 
 # -- the lazy substitution ---------------------------------------------------

@@ -179,12 +179,14 @@ class TestCorruption:
         _corrupt(tmp_path, scramble)
         _expect_cold_fallback(tmp_path, cold_suite)
 
-    def test_malformed_encoding_table_degrades_to_cold(self, tmp_path):
+    def test_malformed_snapshot_fold_degrades_to_cold(self, tmp_path):
         _, cold = _run(tmp_path)
         cold_suite = [c.inputs for c in cold.suite]
 
         def scramble(doc):
-            doc["payload"]["cache"]["encodings"]["table"] = {"bad": 1}
+            cache = doc["payload"]["cache"]
+            assert cache["fps"]  # index 0 resolves; the interval does not
+            cache["snapshots"] = [[0, ["b", 1], True, {"x": [1.0]}]]
             return json.dumps(doc)
 
         _corrupt(tmp_path, scramble)
@@ -350,7 +352,7 @@ class TestLRUOrderAfterRestore:
         folds = donor.export_folds()
 
         restored = SolveCache("M", compiled_capacity=4)
-        restored.restore_folds(folds, build_counter_model())
+        restored.restore_folds(folds)
         assert [k for k, _ in restored.compiled.items()] == [
             (fp, key) for fp, key in order
         ]
@@ -359,29 +361,6 @@ class TestLRUOrderAfterRestore:
         remaining = [k for k, _ in restored.compiled.items()]
         assert (order[0][0], order[0][1]) not in remaining
         assert (order[1][0], order[1][1]) in remaining
-
-    def test_encodings_restore_in_eviction_order(self):
-        compiled = build_counter_model()
-        from repro.model.state import ModelState
-        from repro.solver.encoder import OneStepEncoding
-
-        donor = SolveCache("M", encoding_capacity=8)
-        state = ModelState(compiled.initial_state())
-        fingerprints = []
-        for index in range(3):
-            fingerprint = f"enc{index}"
-            fingerprints.append(fingerprint)
-            donor.encoding(
-                fingerprint,
-                lambda state=state: OneStepEncoding(compiled, state),
-            )
-        folds = donor.export_folds()
-        restored = SolveCache("M", encoding_capacity=3)
-        restored.restore_folds(folds, compiled)
-        assert [k for k, _ in restored.encodings.items()] == fingerprints
-        restored.encodings.put("fresh", None)
-        assert fingerprints[0] not in restored.encodings
-        assert fingerprints[1] in restored.encodings
 
 
 class TestSnapshotFold:
@@ -403,7 +382,7 @@ class TestSnapshotFold:
         folds = self._snapshot_folds()
         assert len(folds["snapshots"]) == 1
         restored = SolveCache("M")
-        counts = restored.restore_folds(folds, build_counter_model())
+        counts = restored.restore_folds(folds)
         assert counts["snapshots"] == 1
         (feasible, snapshot) = restored._restored_contraction[
             ("fp0", ("branch", 1))
@@ -416,7 +395,7 @@ class TestSnapshotFold:
         intermediate run never consumed."""
         folds = self._snapshot_folds()
         middle = SolveCache("M")
-        middle.restore_folds(folds, build_counter_model())
+        middle.restore_folds(folds)
         again = middle.export_folds()
         assert len(again["snapshots"]) == 1
 
@@ -425,6 +404,6 @@ class TestSnapshotFold:
         donor.mark_dead("fp", ("branch", 1), counts_failure=True)
         folds = donor.export_folds()
         restored = SolveCache("M", verdicts=False)
-        counts = restored.restore_folds(folds, build_counter_model())
+        counts = restored.restore_folds(folds)
         assert counts["verdicts"] == 0
         assert restored.dead_verdict("fp", ("branch", 1)) is None

@@ -3,10 +3,10 @@
 The core contract of :mod:`repro.store`: a warm-started STCG run is
 **bit-identical** to a cold run at the same seed and budget.  The live
 restore only replays draw-free derived state (UNSAT verdicts,
-first-visit markers, contraction snapshots, one-step encodings), none
-of which touches the RNG stream, and clock reads happen at the same
-logical points warm and cold — so under an injected deterministic clock
-the pin holds on every registry model, including the budget-bound ones.
+first-visit markers, contraction snapshots), none of which touches the
+RNG stream, and clock reads happen at the same logical points warm and
+cold — so under an injected deterministic clock the pin holds on every
+registry model, including the budget-bound ones.
 """
 
 import json
@@ -87,24 +87,60 @@ def test_third_run_is_a_fixed_point(tmp_path):
     assert third.stats["store_writes"] == 0
 
 
-def test_extending_a_restored_encoding_changes_the_save_fingerprint(tmp_path):
-    """Restored encodings are partial; a warm run that computes more of
-    one has learned something, so the skip-save fingerprint must see it
-    (otherwise :meth:`StcgGenerator._store_save` would drop the work)."""
+def test_document_with_obsolete_folds_still_warm_starts(tmp_path):
+    """A ``repro.store/2`` document written by an older build also holds
+    a serialized state tree and an ``encodings`` fold.  The reader
+    ignores both: the run is a bit-identical warm start, and it leaves
+    the document as it found it."""
+    import os
+
+    from repro.solver.engine import SolverConfig
+
     config = StcgConfig(
-        budget_s=2.0, seed=7, store=StoreConfig(path=str(tmp_path))
+        budget_s=0.6,
+        seed=11,
+        store=StoreConfig(path=str(tmp_path)),
+        solver=SolverConfig(time_budget_s=60.0),
     )
     build = get_benchmark("CPUTask").build
-    StcgGenerator(build(), config).run()
-    warm = StcgGenerator(build(), config)
-    assert warm._store_load() is not None
-    tree_size = warm._store_snapshot[-1]
-    assert warm._derived_sizes(tree_size) == warm._store_snapshot
-    _, encoding = next(iter(warm.cache.encodings.items()))
-    before = encoding.recorded_entries
-    encoding.complete()
-    assert encoding.recorded_entries > before
-    assert warm._derived_sizes(tree_size) != warm._store_snapshot
+    cold = StcgGenerator(build(), config, clock=counting_clock()).run()
+    (name,) = [p for p in os.listdir(tmp_path) if p.endswith(".json")]
+    path = os.path.join(str(tmp_path), name)
+    with open(path) as handle:
+        document = json.load(handle)
+    payload = document["payload"]
+    assert set(payload) == {"cache"}
+    assert set(payload["cache"]) == {"fps", "verdicts", "markers", "snapshots"}
+    payload["tree"] = {
+        "schema": "repro.state_tree/1",
+        "dedup": True,
+        "nodes": [
+            {"parent": None, "input": None, "state": {}, "covered": [0]}
+        ],
+        "solved": {},
+        "obligations": {},
+    }
+    payload["cache"]["encodings"] = {
+        "table": [["c", True, "bool"], ["u", "not", 0, "bool"]],
+        "items": [[0, {"state": {}, "outcomes": {"0": [0, 1]}, "atoms": {}}]],
+    }
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+    with open(path) as handle:
+        written = handle.read()
+
+    warm_gen = StcgGenerator(build(), config, clock=counting_clock())
+    warm = warm_gen.run()
+    assert warm_gen.stats["store_hits"] == 1
+    assert warm_gen.stats["store_rejected"] == 0
+    assert warm_gen.stats["restored_verdicts"] > 0
+    assert _suite_inputs(warm) == _suite_inputs(cold)
+    assert [case.origin for case in warm.suite] == [
+        case.origin for case in cold.suite
+    ]
+    assert warm_gen.stats["store_writes"] == 0
+    with open(path) as handle:
+        assert handle.read() == written
 
 
 class TestFuzzCorpusSeeding:
