@@ -9,8 +9,10 @@ across steps, constraint size grows quickly with depth — which is exactly
 why the paper finds SLDV emitting test cases in a few early bursts and then
 stalling on state-heavy models.
 
-The unrolling is incremental: depth ``k+1`` reuses the symbolic state
-reached at depth ``k``.
+The unrolling is incremental and composed from the model's step template
+(:meth:`~repro.model.graph.CompiledModel.step_template`, the one symbolic
+step): depth ``k+1`` substitutes the symbolic state reached at depth ``k``
+and fresh step-suffixed inport variables into the template.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from repro.core.result import GenerationResult, ORIGIN_TOOL, TimelineEvent
 from repro.core.testcase import TestCase, TestSuite
 from repro.expr import ops as x
 from repro.expr.ast import Const, Expr, Var
+from repro.expr.variables import substitute
 from repro.metrics import MetricsRegistry, populate_registry
-from repro.model.context import symbolic_context
-from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
 from repro.model.simulator import Simulator
 from repro.obs.stages import merge_stage_dicts
@@ -63,32 +64,44 @@ class SldvConfig:
 
 
 class _IncrementalUnroll:
-    """Step-by-step symbolic unrolling with threaded symbolic state."""
+    """Step-by-step symbolic unrolling: the step template composed with
+    itself, the symbolic state threaded from one step to the next."""
 
     def __init__(self, compiled: CompiledModel):
         self.compiled = compiled
         self.variables: List[Var] = []
         self.step_conditions: List[Dict[int, List[Expr]]] = []
-        self._state_env: Dict[str, object] = compiled.initial_state()
+        #: state path -> its symbolic value at the start of the next step.
+        self._state: Dict[str, Expr] = {
+            path: x.lift(value)
+            for path, value in compiled.initial_state().items()
+        }
 
     @property
     def depth(self) -> int:
         return len(self.step_conditions)
 
     def extend(self) -> None:
-        """Unroll one more step symbolically."""
-        step = self.depth
-        step_vars = self.compiled.input_variables(suffix=f"@{step}")
+        """Unroll one more step: bind the template's state variables to the
+        state reached so far and its inports to this step's variables."""
+        template = self.compiled.step_template()
+        step_vars = self.compiled.input_variables(suffix=f"@{self.depth}")
         self.variables.extend(step_vars)
-        inputs = {
-            spec.name: var for spec, var in zip(self.compiled.inports, step_vars)
+        bindings: Dict[str, Expr] = dict(self._state)
+        for spec, var in zip(self.compiled.inports, step_vars):
+            bindings[spec.name] = var
+        memo: Dict[int, Expr] = {}
+        self.step_conditions.append({
+            decision_id: [
+                substitute(condition, bindings, memo)
+                for condition in conditions
+            ]
+            for decision_id, conditions in template.outcome_conditions.items()
+        })
+        self._state = {
+            path: substitute(value, bindings, memo)
+            for path, value in template.next_state.items()
         }
-        ctx = symbolic_context(inputs, self._state_env, time_index=step)
-        execute_step(self.compiled, ctx)
-        self.step_conditions.append(ctx.outcome_conditions)
-        next_env = dict(self._state_env)
-        next_env.update(ctx.next_state)
-        self._state_env = next_env
 
     def path_constraint(self, branch: Branch, step: int) -> Expr:
         conditions = self.step_conditions[step][branch.decision.decision_id]

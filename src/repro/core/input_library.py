@@ -43,9 +43,6 @@ class InputLibrary:
     def random_sequence(self, rng: random.Random, length: int) -> List[Dict[str, object]]:
         return [self.random_input(rng) for _ in range(length)]
 
-    def all_inputs(self) -> List[Dict[str, object]]:
-        return [dict(entry) for entry in self._inputs]
-
 
 def _freeze(input_data: Dict[str, object]) -> Tuple:
     return tuple(sorted(input_data.items()))

@@ -72,12 +72,6 @@ class StateTreeNode:
     def get_state(self) -> ModelState:
         return self.state
 
-    def get_input(self) -> Optional[Dict[str, object]]:
-        return self.input
-
-    def get_parent(self) -> Optional["StateTreeNode"]:
-        return self.parent
-
     @property
     def is_canonical(self) -> bool:
         """Is this the first node that reached its state value?"""

@@ -187,14 +187,6 @@ class CoverageRegistry:
         return tuple(self._points)
 
     @property
-    def n_decisions(self) -> int:
-        return len(self._decisions)
-
-    @property
-    def n_condition_points(self) -> int:
-        return len(self._points)
-
-    @property
     def n_branches(self) -> int:
         return len(self._branches)
 

@@ -104,17 +104,6 @@ class CellFailure:
     def label(self) -> str:
         return f"{self.model}/{self.tool} rep {self.repetition + 1}"
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "tool": self.tool,
-            "model": self.model,
-            "repetition": self.repetition,
-            "seed": self.seed,
-            "kind": self.kind,
-            "message": self.message,
-            "duration_s": round(self.duration_s, 6),
-        }
-
 
 def plan_matrix(
     models: Sequence[BenchmarkModel],

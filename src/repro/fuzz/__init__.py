@@ -1,8 +1,8 @@
 """Coverage-guided mutational fuzzing over compiled models.
 
-The package implements ROADMAP item 3: attack the (state, branch)
-residue STCG's one-step solver leaves uncovered with a corpus-based
-mutational fuzzer, and fuse the two in a hybrid mode:
+The package attacks the (state, branch) residue STCG's one-step solver
+leaves uncovered with a corpus-based mutational fuzzer, and fuses the
+two in a hybrid mode:
 
 * :mod:`repro.fuzz.mutators` — deterministic seeded sequence mutators
   (value perturbation, step splice/duplicate/truncate, crossover).

@@ -66,7 +66,7 @@ from repro.model.blocks.routing import (
     SwitchCase,
 )
 from repro.model.blocks.sources import Constant, Counter, Inport
-from repro.model.graph import CompiledModel, PlanItem
+from repro.model.graph import CompiledModel
 from repro.stateflow.chart import ChartBlock
 
 #: ``(source_output_buffer, port)`` — resolved once, read every step.
@@ -743,8 +743,3 @@ KERNEL_FACTORIES: Dict[type, Callable] = {
     Logic: _k_logic,
     ChartBlock: _k_chart,
 }
-
-
-def factory_for(item: PlanItem) -> Optional[Callable]:
-    """The kernel factory for a plan item, or ``None`` (generic fallback)."""
-    return KERNEL_FACTORIES.get(type(item.block))

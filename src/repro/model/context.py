@@ -48,10 +48,6 @@ class StepContext:
         self.next_state = next_state
         self.collector = collector
         self.time_index = time_index
-        #: True while building a model's step template (symbolic state):
-        #: charts then record condition atoms under a symbolic location
-        #: too, which no other symbolic step pays for.
-        self.template = False
         #: Activation of the block currently executing (bool or Expr).
         self.active: object = True
         #: Decision outcomes taken this step (concrete): decision_id -> outcome.

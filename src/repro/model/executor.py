@@ -14,8 +14,8 @@ def execute_step(compiled: CompiledModel, ctx: StepContext) -> Dict[str, object]
 
     The context's mode decides whether values are concrete or symbolic.
     Next-state values accumulate in ``ctx.next_state``; the caller merges
-    them into its state environment (the simulator) or threads them to the
-    next unrolled step (the SLDV-like encoder).
+    them into its state environment (the simulator) or keeps them as the
+    step template's next state (:meth:`CompiledModel.step_template`).
 
     This is the generic interpreter: it dispatches through ``compute`` /
     ``update`` on every block.  The concrete-only fast path lives in

@@ -12,7 +12,8 @@ produces a :class:`CompiledModel`:
 * the flattened state-element table (Definition 2's G/GV + M/ML + I/IV),
 * on demand, the *step template* (:meth:`CompiledModel.step_template`):
   one symbolic step with inports and state elements alike as variables,
-  which the one-step encoder specializes to each concrete state.
+  which the one-step encoder specializes to each concrete state and the
+  SLDV-like unroller composes with itself.
 
 Ordering rules:
 
@@ -35,6 +36,7 @@ import networkx as nx
 from repro.errors import CompileError, ModelError
 from repro.coverage.registry import Branch, CoverageRegistry
 from repro.expr.ast import Expr, Var
+from repro.expr.ops import lift
 from repro.expr.types import Type
 from repro.model.block import (
     Block,
@@ -313,8 +315,10 @@ class StepTemplate:
     Substituting a state's values for the state variables
     (:func:`repro.expr.variables.substitute`) yields the conditions of
     that state's one-step encoding: the template is the encoder's
-    state-generic form.  Chart transitions record condition atoms under
-    every leaf here, with context ``OR(loc == leaf && evaluated)``.
+    state-generic form.  Substituting step ``k-1``'s next state and step
+    ``k``'s inport variables instead composes a bounded unroll.  Chart
+    transitions record condition atoms under every leaf here, with
+    context ``OR(loc == leaf && evaluated)``.
     """
 
     #: Names of the inport variables; every other variable is state.
@@ -323,6 +327,9 @@ class StepTemplate:
     outcome_conditions: Dict[int, List[Expr]]
     #: point id -> (atoms, evaluation context).
     condition_atoms: Dict[int, Tuple[List[Expr], Expr]]
+    #: state path -> its value after the step (its own variable where
+    #: the step leaves it untouched).
+    next_state: Dict[str, Expr]
 
 
 @dataclass
@@ -363,8 +370,7 @@ class CompiledModel:
 
     def step_template(self) -> StepTemplate:
         """The model's :class:`StepTemplate`, built on first use (one
-        full symbolic step, as in SLDV's unroller but from a symbolic
-        state), then kept."""
+        full symbolic step from a symbolic state), then kept."""
         template = self._step_template
         if template is None:
             from repro.model.context import symbolic_context
@@ -376,10 +382,13 @@ class CompiledModel:
                 for path, element in self.state_elements.items()
             }
             ctx = symbolic_context(inputs, state)
-            ctx.template = True
             execute_step(self, ctx)
+            next_state = {**ctx.state_env, **ctx.next_state}
             template = self._step_template = StepTemplate(
-                frozenset(inputs), ctx.outcome_conditions, ctx.condition_atoms
+                frozenset(inputs),
+                ctx.outcome_conditions,
+                ctx.condition_atoms,
+                {path: lift(value) for path, value in next_state.items()},
             )
         return template
 

@@ -8,8 +8,9 @@ same block code runs in two modes:
   execution and the random-search baseline.
 * **symbolic** — operands are expression nodes (or plain values, lifted);
   operations build expression trees via the smart constructors, folding
-  wherever operands are constant.  This is how one-step encodings (STCG) and
-  multi-step unrollings (the SLDV-like baseline) are produced.
+  wherever operands are constant.  This is how the step template is
+  produced, which one-step encodings (STCG) specialize and multi-step
+  unrollings (the SLDV-like baseline) compose.
 """
 
 from __future__ import annotations

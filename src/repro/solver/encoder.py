@@ -1,25 +1,19 @@
-"""Symbolic encodings of model steps.
+"""STCG's state-aware one-step encoding of a model step.
 
-Two encoders share the symbolic execution machinery:
-
-* :class:`OneStepEncoding` — STCG's state-aware encoding: inputs are
-  symbolic variables, the state snapshot enters as *constants*.  Branch
-  conditions therefore collapse wherever they depend on state (a transition
-  whose source state is inactive folds to ``false`` immediately), which is
-  the paper's central argument for solving one iteration at a time.  The
-  encoding is specialized on demand from the model's step template
-  (:meth:`~repro.model.graph.CompiledModel.step_template`, one symbolic
-  step in which the state is symbolic too): a query substitutes the
-  state's constants into just the requested template entry, and the lazy
-  fold visits only the arms the state selects.  Most (state, target)
-  pairs STCG visits fold to ``false``; most of those never reach the
-  encoder at all, being refuted first by :mod:`repro.solver.guards`.
-* :class:`UnrolledEncoding` — the SLDV-like bounded encoding: ``k`` steps
-  are chained symbolically from the initial state, with per-step input
-  variables and state expressions threaded between steps.  Constraint size
-  grows with depth and with state complexity (arrays, chart locations),
-  reproducing why whole-model constraint solving struggles on state-heavy
-  models.
+:class:`OneStepEncoding`: inputs are symbolic variables, the state snapshot
+enters as *constants*.  Branch conditions therefore collapse wherever they
+depend on state (a transition whose source state is inactive folds to
+``false`` immediately), which is the paper's central argument for solving
+one iteration at a time.  The encoding is specialized on demand from the
+model's step template
+(:meth:`~repro.model.graph.CompiledModel.step_template`, one symbolic step
+in which the state is symbolic too): a query substitutes the state's
+constants into just the requested template entry, and the lazy fold visits
+only the arms the state selects.  Most (state, target) pairs STCG visits
+fold to ``false``; most of those never reach the encoder at all, being
+refuted first by :mod:`repro.solver.guards`.  The SLDV-like baseline's
+bounded unroll composes the same template
+(:class:`repro.baselines.sldv._IncrementalUnroll`).
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ from repro.coverage.registry import Branch
 from repro.expr import ops as x
 from repro.expr.ast import Expr, FALSE, TRUE, Var
 from repro.expr.variables import substitute
-from repro.model.context import symbolic_context
-from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
 from repro.model.state import ModelState
 
@@ -128,16 +120,13 @@ class OneStepEncoding:
             constraint = x.land(constraint, self.branch_condition(ancestor))
         return constraint
 
-    def next_state_expressions(self) -> Dict[str, object]:
-        """Symbolic next state (constants where untouched), from one full
-        reference step (:func:`~repro.model.executor.execute_step`)."""
-        ctx = symbolic_context(
-            {v.name: v for v in self.variables}, self.state.values
-        )
-        execute_step(self.compiled, ctx)
-        next_state = dict(ctx.state_env)
-        next_state.update(ctx.next_state)
-        return next_state
+    def next_state_expressions(self) -> Dict[str, Expr]:
+        """Symbolic next state (constants where untouched): the template's
+        next state specialized to this state."""
+        return {
+            path: self._specialize(value)
+            for path, value in self.compiled.step_template().next_state.items()
+        }
 
     def obligation_constraint(self, obligation) -> Expr:
         """Constraint whose solution satisfies a condition obligation.
@@ -181,68 +170,3 @@ class OneStepEncoding:
         with_false = substitute(point.structure, bind_false)
         return x.lxor(with_true, with_false)
 
-
-class UnrolledEncoding:
-    """Bounded multi-step symbolic unrolling from the initial state."""
-
-    def __init__(
-        self,
-        compiled: CompiledModel,
-        depth: int,
-        initial_state: Optional[ModelState] = None,
-    ):
-        if depth < 1:
-            raise SolverError("unroll depth must be >= 1")
-        self.compiled = compiled
-        self.depth = depth
-        self.variables: List[Var] = []
-        self._step_conditions: List[Dict[int, List[Expr]]] = []
-        state_env: Dict[str, object] = (
-            initial_state.values
-            if initial_state is not None
-            else compiled.initial_state()
-        )
-        for step in range(depth):
-            step_vars = compiled.input_variables(suffix=f"@{step}")
-            self.variables.extend(step_vars)
-            inputs = {
-                spec.name: var
-                for spec, var in zip(compiled.inports, step_vars)
-            }
-            ctx = symbolic_context(inputs, state_env, time_index=step)
-            execute_step(compiled, ctx)
-            self._step_conditions.append(ctx.outcome_conditions)
-            state_env = dict(state_env)
-            state_env.update(ctx.next_state)
-        self._final_state = state_env
-
-    def branch_condition(self, branch: Branch, step: int) -> Expr:
-        conditions = self._step_conditions[step].get(branch.decision.decision_id)
-        if conditions is None:
-            raise SolverError(
-                f"decision {branch.decision.path!r} recorded no conditions"
-            )
-        return conditions[branch.outcome]
-
-    def path_constraint(self, branch: Branch, step: int) -> Expr:
-        constraint = self.branch_condition(branch, step)
-        for ancestor in branch.ancestors():
-            constraint = x.land(constraint, self.branch_condition(ancestor, step))
-        return constraint
-
-    def reach_constraint(self, branch: Branch) -> Expr:
-        """Branch reachable at *any* unrolled step (disjunction over steps)."""
-        return x.disjoin(
-            self.path_constraint(branch, step) for step in range(self.depth)
-        )
-
-    def decode_sequence(self, model: Dict[str, object]) -> List[Dict[str, object]]:
-        """Split a solver model over step-suffixed variables into a test
-        input sequence."""
-        sequence: List[Dict[str, object]] = []
-        for step in range(self.depth):
-            step_inputs: Dict[str, object] = {}
-            for spec in self.compiled.inports:
-                step_inputs[spec.name] = model[f"{spec.name}@{step}"]
-            sequence.append(step_inputs)
-        return sequence

@@ -93,10 +93,6 @@ class SolveResult:
     model: Optional[Dict[str, object]] = None
     stats: SolveStats = field(default_factory=SolveStats)
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status is Status.SAT
-
 
 class SolverEngine:
     """Budgeted constraint solver over the expression IR."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.expr.types import BOOL, INT
 from repro.solver.box import Box
@@ -51,14 +51,6 @@ def corner_points(box: Box, limit: int = 8) -> List[Dict[str, object]]:
         zeros[name] = _to_value(clamp_to_domain(0.0, domain, is_int), var.ty)
     candidates = [mids, zeros, los, his]
     return candidates[:limit]
-
-
-def sample_stream(
-    box: Box, rng: random.Random, count: int
-) -> Iterator[Dict[str, object]]:
-    """Yield ``count`` random assignments."""
-    for _ in range(count):
-        yield sample_point(box, rng)
 
 
 def _draw(domain: Interval, ty, rng: random.Random):

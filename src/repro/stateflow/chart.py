@@ -5,9 +5,10 @@ The chart's location, locals and outputs are state elements in the
 logic procedurally and feed the coverage collector; symbolic steps build a
 merged one-step encoding — with a *constant* location (STCG's state-aware
 solving) the encoding collapses to the active state's transitions, while a
-*symbolic* location (the SLDV-like unroller) expands into an ITE merge over
-every leaf state, which is precisely the blow-up the paper attributes to
-whole-model constraint solving.
+*symbolic* location (the model's step template, which the SLDV-like unroller
+composes) expands into an ITE merge over every leaf state, which is
+precisely the blow-up the paper attributes to whole-model constraint
+solving.
 """
 
 from __future__ import annotations
@@ -155,10 +156,6 @@ class ChartBlock(Block):
             leaves = [self.spec.leaves[int(loc_expr.const_value())]]
         else:
             leaves = self.spec.leaves
-        # Condition atoms for obligation solving are recorded for a
-        # constant location (STCG's one-step encodings) and for a step
-        # template; the SLDV-like unroller never pays for them.
-        record_atoms = loc_expr.is_const or ctx.template
         #: transition index -> OR over leaves of (active && evaluated).
         atom_contexts: Dict[int, Expr] = {}
         merged: Optional[Frame] = None
@@ -176,7 +173,7 @@ class ChartBlock(Block):
                 not_taken_conditions[index] = x.lor(
                     not_taken_conditions[index], x.land(active, not_taken)
                 )
-                if record_atoms and index in self._points:
+                if index in self._points:
                     atom_contexts[index] = x.lor(
                         atom_contexts.get(index, x.FALSE),
                         x.land(active, evaluated),

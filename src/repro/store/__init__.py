@@ -1,4 +1,5 @@
-"""Persistent cross-run warm-start store (ROADMAP item 2, first half).
+"""Persistent cross-run warm-start store: a rerun on the same model and
+configuration starts from what an earlier run derived.
 
 The store persists only the *derived* state a warm run restores — the
 three solve-cache folds (UNSAT verdicts, compiled-bundle first-visit

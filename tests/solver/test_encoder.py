@@ -1,4 +1,4 @@
-"""Tests for the one-step and unrolled symbolic encoders.
+"""Tests for the one-step encoder and the SLDV-like bounded unroll.
 
 The central correctness property of the whole reproduction: *the symbolic
 one-step encoding agrees with concrete execution* — for any state and any
@@ -11,11 +11,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.sldv import _IncrementalUnroll
 from repro.coverage import CoverageCollector
 from repro.expr.evaluator import evaluate
 from repro.model import Simulator
 from repro.model.inputs import random_input
-from repro.solver.encoder import OneStepEncoding, UnrolledEncoding
+from repro.solver.encoder import OneStepEncoding
 from repro.solver.engine import SolverConfig, SolverEngine, Status
 
 from tests.conftest import build_counter_model, build_queue_model
@@ -53,13 +54,6 @@ class TestEncodingDoesNotTouchState:
         next_state = encoding.next_state_expressions()
         next_state["__poison__"] = object()
         assert "__poison__" not in state.values
-
-    def test_unrolled_encoding_leaves_state_untouched(self):
-        compiled = build_counter_model()
-        state = self._walk_to_state(compiled)
-        before = state.values
-        UnrolledEncoding(compiled, depth=3, initial_state=state)
-        assert state.values == before
 
 
 class TestOneStepAgreement:
@@ -175,25 +169,27 @@ class TestStateAwareness:
         assert 9 in matched_keys
 
 
+def unrolled(compiled, depth):
+    """The SLDV-like baseline's bounded unroll, extended to ``depth``."""
+    unroll = _IncrementalUnroll(compiled)
+    for _ in range(depth):
+        unroll.extend()
+    return unroll
+
+
 class TestUnrolledEncoding:
-    def test_depth_validation(self, counter_model):
-        from repro.errors import SolverError
-
-        with pytest.raises(SolverError):
-            UnrolledEncoding(counter_model, 0)
-
     def test_variables_per_step(self, counter_model):
-        encoding = UnrolledEncoding(counter_model, 3)
+        encoding = unrolled(counter_model, 3)
         names = {v.name for v in encoding.variables}
         assert "tick@0" in names and "amount@2" in names
         assert len(encoding.variables) == 6
 
     def test_decode_sequence(self, counter_model):
-        encoding = UnrolledEncoding(counter_model, 2)
+        encoding = unrolled(counter_model, 2)
         model = {
             "tick@0": True, "amount@0": 5, "tick@1": False, "amount@1": 2,
         }
-        sequence = encoding.decode_sequence(model)
+        sequence = encoding.decode_sequence(model, 1)
         assert sequence == [
             {"tick": True, "amount": 5},
             {"tick": False, "amount": 2},
@@ -202,7 +198,7 @@ class TestUnrolledEncoding:
     def test_multi_step_needle_solvable(self, counter_model):
         """count > 15 requires two max-amount ticks: a 2-step constraint."""
         compiled = counter_model
-        encoding = UnrolledEncoding(compiled, 2)
+        encoding = unrolled(compiled, 2)
         high_branch = next(
             b for b in compiled.registry.branches
             if b.label.endswith("level:true")
@@ -217,7 +213,7 @@ class TestUnrolledEncoding:
         # Execute the decoded sequence and confirm the branch is covered.
         collector = CoverageCollector(compiled.registry)
         simulator = Simulator(compiled, collector)
-        for step_inputs in encoding.decode_sequence(result.model):
+        for step_inputs in encoding.decode_sequence(result.model, 1):
             simulator.step(step_inputs)
         assert collector.is_branch_covered(high_branch)
 

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.baselines.sldv import _IncrementalUnroll
 from repro.core import StcgConfig, StcgGenerator
 from repro.core.config import FuzzConfig, StoreConfig
 from repro.coverage.collector import CoverageCollector
@@ -22,12 +23,12 @@ from repro.expr.ast import AND, BOOL, Binary, Var
 from repro.expr.printer import to_string
 from repro.expr.variables import substitute
 from repro.fuzz.engine import FuzzGenerator, HybridGenerator
-from repro.model.context import StepContext, symbolic_context
+from repro.model.context import symbolic_context
 from repro.model.executor import execute_step
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK, get_benchmark
-from repro.solver.encoder import OneStepEncoding, UnrolledEncoding
+from repro.solver.encoder import OneStepEncoding
 from repro.solver.engine import SolverConfig
 from repro.solver.guards import StateGuards, conjuncts
 
@@ -271,66 +272,31 @@ def test_template_is_built_once_per_model():
 
 
 class TestTemplateOnlyChartAtoms:
-    """Charts record atoms under a symbolic location only for a template:
-    the SLDV-like unroller must not pay for them."""
-
-    def test_symbolic_location_records_atoms_only_in_template_mode(self):
-        compiled = get_benchmark("NICProtocol").build()
-        inputs = {v.name: v for v in compiled.input_variables()}
-        state = {
-            path: (
-                Var(path, compiled.state_elements[path].ty)
-                if path.endswith(".loc") else value
-            )
-            for path, value in compiled.initial_state().items()
-        }
-        plain = symbolic_context(inputs, dict(state))
-        execute_step(compiled, plain)
-        with_atoms = symbolic_context(inputs, dict(state))
-        with_atoms.template = True
-        execute_step(compiled, with_atoms)
-        assert plain.outcome_conditions == with_atoms.outcome_conditions
-        assert set(plain.condition_atoms) < set(with_atoms.condition_atoms)
-        assert set(with_atoms.condition_atoms) == set(
-            compiled.step_template().condition_atoms
-        )
+    """The SLDV-like unroll composes the template, in which charts record
+    atoms under a symbolic location; its outcome conditions must print
+    exactly as when each step was executed without chart atoms."""
 
     #: SHA-256 prefixes of the depth-3 unrolled outcome conditions, as
-    #: printed, from before charts learned template-only atoms.
+    #: printed by step-by-step execution.
     UNROLLED_DIGESTS = {
         "NICProtocol": "11a4f12a536668e1",
         "TCP": "1fc1a68622af1063",
     }
 
     @pytest.mark.parametrize("name", UNROLLED_DIGESTS)
-    def test_unrolled_conditions_unchanged(self, name, monkeypatch):
-        recorded = []
-        original = StepContext.record_condition_atoms
-
-        def spy(self, point, atoms, context):
-            recorded.append(point.point_id)
-            return original(self, point, atoms, context)
-
-        monkeypatch.setattr(StepContext, "record_condition_atoms", spy)
-        compiled = get_benchmark(name).build()
-        unrolled = UnrolledEncoding(compiled, 3)
+    def test_unrolled_conditions_unchanged(self, name):
+        unroll = _IncrementalUnroll(get_benchmark(name).build())
+        for _ in range(3):
+            unroll.extend()
         blob = repr([
             sorted(
                 (decision_id, [to_string(c) for c in conditions])
                 for decision_id, conditions in step.items()
             )
-            for step in unrolled._step_conditions
+            for step in unroll.step_conditions
         ])
         digest = hashlib.sha256(blob.encode()).hexdigest()[:16]
         assert digest == self.UNROLLED_DIGESTS[name]
-        # Only step 0 has a constant chart location; later steps, with a
-        # symbolic one, record no chart atoms.
-        chart_points = [
-            point.point_id for point in compiled.registry.condition_points
-            if "/t" in point.path
-        ]
-        assert chart_points
-        assert all(recorded.count(p) <= 1 for p in chart_points)
 
 
 def test_traced_run_times_the_encoder():

@@ -3,8 +3,9 @@
 ``OneStepEncoding`` answers a decision or condition point it has not
 recorded yet by substituting the state's constants into the model's step
 template, folding lazily on one memo per encoding.  Whatever the query
-order, every answer must be structurally equal (``==``) to the answer
-read off one full ``execute_step`` from the same state.
+order, every answer, and the next state, must be structurally equal
+(``==``) to the answer read off one full ``execute_step`` from the same
+state.
 """
 
 import random
@@ -91,6 +92,11 @@ class ReferenceStep:
         )
         execute_step(compiled, self.ctx)
 
+    def next_state(self):
+        """Every state element after the step, values lifted."""
+        next_state = {**self.ctx.state_env, **self.ctx.next_state}
+        return {path: x.lift(value) for path, value in next_state.items()}
+
     def answer(self, target):
         kind, payload = target
         if kind == "branch":
@@ -145,6 +151,18 @@ class TestFreshEncoding:
         reference = ReferenceStep(compiled, state)
         assert full._outcome_conditions == reference.ctx.outcome_conditions
         assert full._condition_atoms == reference.ctx.condition_atoms
+
+    @pytest.mark.parametrize("name", ["CPUTask", "NICProtocol"])
+    @given(steps=st.integers(0, 25), seed=st.integers(0, 10_000))
+    @settings(max_examples=12, deadline=None)
+    def test_next_state_matches(self, name, steps, seed):
+        """The template's next state, specialized, equals the full step's
+        (CPUTask: data stores; NICProtocol: a chart)."""
+        compiled = compiled_model(name)
+        state = reachable_state(compiled, steps, seed)
+        encoding = OneStepEncoding(compiled, state)
+        reference = ReferenceStep(compiled, state)
+        assert encoding.next_state_expressions() == reference.next_state()
 
     def test_single_query_records_only_its_entry(self):
         compiled = compiled_model("NICProtocol")
