@@ -6,7 +6,7 @@ configure the fuzzing engine and the warm-start store.  The compiled
 kernels and the solve caches have no switches here: they are
 observationally transparent (DESIGN.md, "Cache-key soundness"), and the
 equivalence tests reach their reference paths through the constructors
-of ``Simulator``, ``SolveCache`` and ``StateTree``.
+of ``Simulator`` and ``SolveCache``.
 """
 
 from __future__ import annotations

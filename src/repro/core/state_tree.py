@@ -1,22 +1,23 @@
 """The state tree (Definitions 3 and 4).
 
 Every node holds a concretely reached model state, the one-step input that
-produced it from its parent, the set of branches already *attempted* by the
-solver on this state (``SB`` — attempted, whether or not a solution was
-found, so Algorithm 1 never re-solves a pair), and the branches *covered*
-while executing into this state (``CV``).
+produced it from its parent, and the branches *covered* while executing
+into this state (``CV``).
 
 Nodes are deduplicated by state **fingerprint**
 (:meth:`~repro.model.state.ModelState.fingerprint`): the first node to
-reach a state value is its *canonical* node; later nodes with the same
-fingerprint link to it instead of growing an independent subtree of solver
-bookkeeping.  Duplicates still exist as tree nodes — their root paths are
-distinct input sequences Algorithm 2 replays — but they share the
-canonical node's solved-branch/obligation sets and are skipped by the
-solver's scan (:meth:`StateTree.solve_nodes`).  The skip is exact, not a
-heuristic: shared ``SB`` sets mean a duplicate can never be the first
-unsolved node for any target, so the scan's outcome is bit-identical with
-dedup on or off (``dedup=False`` keeps the full scan for A/B runs).
+reach a state value is its *canonical* node, and only canonical nodes
+enter the append-only list the solver scans
+(:meth:`StateTree.solve_nodes`).  Duplicates still exist as tree nodes —
+their root paths are distinct input sequences Algorithm 2 replays — but
+``solve(Model, Branch)`` depends only on the state value, so solving on a
+duplicate would repeat its canonical node's attempt.
+
+The paper's ``SB`` (targets already *attempted* on a state, whether or
+not a solution was found, so Algorithm 1 never re-solves a pair) is not
+kept per node: a target's attempts are always a prefix of the scan list,
+so the generator keeps one cursor per target into it
+(:meth:`repro.core.stcg.StcgGenerator._state_aware_solve`).
 """
 
 from __future__ import annotations
@@ -28,18 +29,19 @@ from repro.model.state import ModelState
 
 
 class StateTreeNode:
-    """One explored model state (Definition 3: ⟨P, S, IN, SB, CV⟩)."""
+    """One explored model state (Definition 3: ⟨P, S, IN, SB, CV⟩).
+
+    ``SB`` lives in the generator as per-target cursors over
+    :meth:`StateTree.solve_nodes`, not on the node.
+    """
 
     __slots__ = (
         "node_id",
         "parent",
         "state",
         "input",
-        "solved_branches",
-        "solved_obligations",
         "covered_branches",
         "children",
-        "canonical",
     )
 
     def __init__(
@@ -53,29 +55,11 @@ class StateTreeNode:
         self.parent = parent
         self.state = state
         self.input = input_data
-        self.solved_branches: Set[int] = set()
-        self.solved_obligations: Set = set()
         self.covered_branches: Set[int] = set()
         self.children: List["StateTreeNode"] = []
-        #: First tree node with this state fingerprint (self when unique).
-        self.canonical: "StateTreeNode" = self
-
-    # -- paper operations -------------------------------------------------------
-
-    def is_solved(self, branch_id: int) -> bool:
-        """Has the solver already been asked about this branch on this state?"""
-        return branch_id in self.solved_branches
-
-    def set_solved(self, branch_id: int) -> None:
-        self.solved_branches.add(branch_id)
 
     def get_state(self) -> ModelState:
         return self.state
-
-    @property
-    def is_canonical(self) -> bool:
-        """Is this the first node that reached its state value?"""
-        return self.canonical is self
 
     # -- path utilities -------------------------------------------------------------
 
@@ -104,46 +88,34 @@ class StateTreeNode:
 class StateTree:
     """The explored-state tree (Definition 4).
 
-    Nodes whose states are value-identical *share* their solved-branch and
-    solved-obligation bookkeeping: ``solve(Model, Branch)`` depends only on
-    the state value, so re-solving the same branch on a revisited state is
-    the duplicate work the paper's ``isSolved`` check exists to avoid.
-    Sharing (and the solver-scan dedup built on it) is keyed by the state's
-    content fingerprint; one-step encodings are cached by the same key in
+    Algorithm 1 scans one node per distinct state: ``solve(Model,
+    Branch)`` depends only on the state value, so solving on a revisited
+    state is the duplicate work the paper's ``isSolved`` check exists to
+    avoid.  The scan list is append-only, which is what lets ``SB`` be a
+    per-target cursor into it.  It is keyed by the state's content
+    fingerprint; one-step encodings are cached by the same key in
     :class:`~repro.cache.solve.SolveCache`.
     """
 
-    def __init__(self, root_state: ModelState, dedup: bool = True):
+    def __init__(self, root_state: ModelState):
         self._nodes: List[StateTreeNode] = []
-        self._shared_solved: Dict[str, Set[int]] = {}
-        self._shared_obligations: Dict[str, Set] = {}
-        #: fingerprint -> canonical (first) node.
-        self._canonical: Dict[str, StateTreeNode] = {}
-        #: Nodes the solver scan visits: canonical-only under dedup.
+        #: Fingerprints already reached (their first node is canonical).
+        self._fingerprints: Set[str] = set()
+        #: Nodes the solver scan visits: the canonical ones, append-only.
         self._solve_nodes: List[StateTreeNode] = []
-        self.dedup = dedup
-        #: Nodes that linked to an existing canonical node instead of
-        #: bringing their own solver bookkeeping.
+        #: Nodes whose state an earlier node already reached.
         self.dedup_links = 0
         self.root = StateTreeNode(0, None, root_state, None)
-        self._link_shared(self.root)
+        self._link(self.root)
         self._nodes.append(self.root)
 
-    def _link_shared(self, node: StateTreeNode) -> None:
+    def _link(self, node: StateTreeNode) -> None:
         fingerprint = node.state.fingerprint()
-        node.solved_branches = self._shared_solved.setdefault(fingerprint, set())
-        node.solved_obligations = self._shared_obligations.setdefault(
-            fingerprint, set()
-        )
-        first = self._canonical.get(fingerprint)
-        if first is None:
-            self._canonical[fingerprint] = node
-            self._solve_nodes.append(node)
-        else:
-            node.canonical = first
+        if fingerprint in self._fingerprints:
             self.dedup_links += 1
-            if not self.dedup:
-                self._solve_nodes.append(node)
+        else:
+            self._fingerprints.add(fingerprint)
+            self._solve_nodes.append(node)
 
     def add_child(
         self,
@@ -152,7 +124,7 @@ class StateTree:
         input_data: Dict[str, object],
     ) -> StateTreeNode:
         node = StateTreeNode(len(self._nodes), parent, state, dict(input_data))
-        self._link_shared(node)
+        self._link(node)
         parent.children.append(node)
         self._nodes.append(node)
         return node
@@ -165,34 +137,24 @@ class StateTree:
     def __iter__(self) -> Iterator[StateTreeNode]:
         return iter(self._nodes)
 
-    def solve_nodes(self) -> Iterator[StateTreeNode]:
-        """Nodes Algorithm 1 scans, in insertion order.
+    def solve_nodes(self) -> List[StateTreeNode]:
+        """Nodes Algorithm 1 scans: one per distinct state fingerprint (the
+        first to reach it), in insertion order.
 
-        Under dedup this yields one node per distinct state fingerprint
-        (the canonical node); with ``dedup=False`` it yields every node,
-        matching the naive scan.
+        The live, append-only list, so a scan can index it; callers must
+        not modify it.
         """
-        return iter(self._solve_nodes)
+        return self._solve_nodes
 
     def unique_states(self) -> int:
         """Number of distinct state fingerprints in the tree."""
-        return len(self._canonical)
+        return len(self._solve_nodes)
 
     def node(self, node_id: int) -> StateTreeNode:
         return self._nodes[node_id]
 
     def random_node(self, rng: random.Random) -> StateTreeNode:
         return rng.choice(self._nodes)
-
-    def leaves(self) -> List[StateTreeNode]:
-        return [node for node in self._nodes if not node.children]
-
-    def max_depth(self) -> int:
-        return max(node.depth() for node in self._nodes)
-
-    def find_by_state(self, state: ModelState) -> Optional[StateTreeNode]:
-        """First node holding an identical state (duplicate detection)."""
-        return self._canonical.get(state.fingerprint())
 
     def render(self, max_nodes: int = 64) -> str:
         """ASCII rendering (Figure 3(b) style)."""

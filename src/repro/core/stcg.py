@@ -128,6 +128,9 @@ class StcgGenerator:
         self._guards = StateGuards(compiled)
         #: Failed solver attempts per target (branch id / obligation).
         self._failures: Dict[object, int] = {}
+        #: Algorithm 1's ``SB``: per target, how many of the tree's
+        #: canonical nodes it has tried (see :meth:`_state_aware_solve`).
+        self._tried: Dict[object, int] = {}
         self.collector = CoverageCollector(compiled.registry)
         #: Objective-level coverage provenance (``repro.provenance/1``).
         #: Pure observation — never feeds back into the algorithm.
@@ -322,51 +325,61 @@ class StcgGenerator:
     # ------------------------------------------------------------------
 
     def _state_aware_solve(self) -> Optional[SolveTarget]:
+        """The first (state, target) pair the solver satisfies, if any.
+
+        ``SB`` is one cursor per target into the tree's append-only list
+        of canonical nodes.  A scan tries nodes in order and stops right
+        after the first solved one, so the nodes a target has tried are
+        always a prefix of that list, and the next scan resumes there.
+        """
+        nodes = self.tree.solve_nodes()
+        tried = self._tried
+        for target_key, objective, label, constraint_of, branch in (
+            self._targets()
+        ):
+            for index in range(tried.get(target_key, 0), len(nodes)):
+                if self._out_of_time():
+                    return None
+                tried[target_key] = index + 1
+                target = self._solve(
+                    nodes[index], target_key, objective, label,
+                    constraint_of, branch,
+                )
+                if target is not None:
+                    return target
+        return None
+
+    def _targets(self):
+        """Algorithm 1's targets, in scan order, as ``_solve`` arguments.
+
+        Uncovered branches by depth first (skipping proven-dead ones),
+        then the condition / MCDC obligations ("all the coverage
+        requirements" of the paper).
+        """
         ledger = self.ledger
         for branch in self._branches:
             if self.collector.is_branch_covered(branch):
                 continue
             if branch.branch_id in self.proven_dead:
                 continue
-            target_key = ("branch", branch.branch_id)
-            objective = ledger.branch_objective(branch) if ledger.enabled else None
-            path_constraint = methodcaller("path_constraint", branch)
-            for node in self.tree.solve_nodes():
-                if node.is_solved(branch.branch_id):
-                    continue
-                if self._out_of_time():
-                    return None
-                node.set_solved(branch.branch_id)
-                target = self._solve(
-                    node, target_key, objective, branch.label,
-                    path_constraint, branch,
-                )
-                if target is not None:
-                    return target
-        # Branch obligations exhausted for now; work on condition / MCDC
-        # obligations ("all the coverage requirements" of the paper).
+            yield (
+                ("branch", branch.branch_id),
+                ledger.branch_objective(branch) if ledger.enabled else None,
+                branch.label,
+                methodcaller("path_constraint", branch),
+                branch,
+            )
         for obligation in self.collector.unsatisfied_condition_obligations():
-            target_key = ("obligation", obligation)
-            objective = (
-                ledger.obligation_objective(obligation) if ledger.enabled
-                else None
+            yield (
+                ("obligation", obligation),
+                (
+                    ledger.obligation_objective(obligation)
+                    if ledger.enabled else None
+                ),
+                repr(obligation),
+                methodcaller("obligation_constraint", obligation),
+                None,
             )
-            label = repr(obligation)
-            obligation_constraint = methodcaller(
-                "obligation_constraint", obligation
-            )
-            for node in self.tree.solve_nodes():
-                if obligation in node.solved_obligations:
-                    continue
-                if self._out_of_time():
-                    return None
-                node.solved_obligations.add(obligation)
-                target = self._solve(
-                    node, target_key, objective, label, obligation_constraint
-                )
-                if target is not None:
-                    return target
-        return None
 
     def _solve(
         self,

@@ -5,24 +5,21 @@ results are **bit-identical** with the caches on, off, or pre-warmed.
 The caches may only change how much work is done, never what is
 produced.  The off/bounded variants are reached the way a caller would
 build them: a ``SolveCache`` with explicit capacities handed to the
-generator, and a ``StateTree(dedup=False)`` patched in for the naive
-full solve scan.
+generator.  The state-tree dedup and the per-target scan cursor are
+checked against the naive full scan of :mod:`tests.core.reference_scan`.
 """
-
-from functools import partial
 
 import pytest
 
-import repro.core.stcg as stcg_module
 from repro.cache import SolveCache
 from repro.cache.solve import (
     DEFAULT_COMPILED_CAPACITY,
     DEFAULT_ENCODING_CAPACITY,
 )
 from repro.core import StcgConfig, StcgGenerator
-from repro.core.state_tree import StateTree
 
 from tests.conftest import build_counter_model, build_queue_model
+from tests.core.reference_scan import use_reference_scan
 
 BUDGET = 10.0
 
@@ -36,20 +33,10 @@ def run(compiled, *, cache=None, **overrides):
     return generator, generator.run()
 
 
-def run_bounded(compiled, monkeypatch=None, *, dedup=True, **bounds):
+def run_bounded(compiled, **bounds):
     """``run`` with a private cache built from ``bounds``
-    (``encoding_capacity``, ``compiled_capacity``, ``verdicts``); with
-    ``dedup=False`` the state tree scans every node, duplicates included.
-    """
-    if not dedup:
-        monkeypatch.setattr(
-            stcg_module, "StateTree", partial(StateTree, dedup=False)
-        )
-    generator, result = run(
-        compiled, cache=SolveCache(compiled.name, **bounds)
-    )
-    assert generator.tree.dedup is dedup
-    return generator, result
+    (``encoding_capacity``, ``compiled_capacity``, ``verdicts``)."""
+    return run(compiled, cache=SolveCache(compiled.name, **bounds))
 
 
 def assert_identical(a, b, *, compare_stats=True):
@@ -91,16 +78,18 @@ class TestCacheOnVsOff:
         assert_identical(roomy, tiny)
 
     def test_dedup_off_changes_nothing(self, build, monkeypatch):
+        """The cursor scan over canonical nodes equals the naive scan of
+        every node with per-fingerprint tried sets."""
         _, deduped = run(build())
-        _, full_scan = run_bounded(build(), monkeypatch, dedup=False)
+        use_reference_scan(monkeypatch)
+        _, full_scan = run(build())
         assert_identical(deduped, full_scan)
 
     def test_everything_off_matches_everything_on(self, build, monkeypatch):
         _, on = run(build())
+        use_reference_scan(monkeypatch)
         _, off = run_bounded(
             build(),
-            monkeypatch,
-            dedup=False,
             encoding_capacity=0,
             compiled_capacity=0,
             verdicts=False,
@@ -152,7 +141,6 @@ class TestGeneratorCacheWiring:
         assert generator.cache.compiled.capacity == \
             DEFAULT_COMPILED_CAPACITY == 256
         assert generator.cache.verdicts_enabled
-        assert generator.tree.dedup
 
     def test_trace_counters_carry_cache_stats(self):
         compiled = build_counter_model()
