@@ -52,16 +52,17 @@ class CoverageCollector:
     def __init__(self, registry: CoverageRegistry):
         self._registry = registry
         self._covered_branches: Set[int] = set()
-        self._vectors: Dict[int, Set[Vector]] = {}
+        #: Per point id, the vectors seen at that point.
+        self._vectors: List[Set[Vector]] = [
+            set() for _ in registry.condition_points
+        ]
         self._atom_values: Dict[Tuple[int, int], Set[bool]] = {}
         self._det_seen: Set[Tuple[int, int, bool]] = set()
-        self._step_events = 0
 
     # -- event intake ---------------------------------------------------------
 
     def on_branch(self, branch: Branch) -> bool:
         """Record a taken branch; returns True when it is newly covered."""
-        self._step_events += 1
         if branch.branch_id in self._covered_branches:
             return False
         self._covered_branches.add(branch.branch_id)
@@ -75,9 +76,8 @@ class CoverageCollector:
         Returns the condition obligations newly satisfied by this vector
         (empty when the vector was seen before).
         """
-        self._step_events += 1
         vector = tuple(bool(v) for v in vector)
-        seen = self._vectors.setdefault(point.point_id, set())
+        seen = self._vectors[point.point_id]
         newly: List[ConditionObligation] = []
         if vector in seen:
             return newly
@@ -97,6 +97,12 @@ class CoverageCollector:
                         ConditionObligation(point.point_id, index, value, True)
                     )
         return newly
+
+    def seen_sets(self) -> Tuple[Set[int], List[Set[Vector]]]:
+        """The live covered-branch set and, indexed by point id, the live
+        set of vectors seen at each point: an event found in them is one
+        ``on_branch`` / ``on_condition_vector`` would report as not new."""
+        return self._covered_branches, self._vectors
 
     # -- queries ---------------------------------------------------------------
 
@@ -119,7 +125,7 @@ class CoverageCollector:
         ]
 
     def vectors_for(self, point: ConditionPoint) -> Set[Vector]:
-        return set(self._vectors.get(point.point_id, set()))
+        return set(self._vectors[point.point_id])
 
     # -- obligations --------------------------------------------------------------
 
@@ -180,7 +186,7 @@ class CoverageCollector:
             return 1.0
         covered = 0
         for point in self._registry.condition_points:
-            vectors = self._vectors.get(point.point_id)
+            vectors = self._vectors[point.point_id]
             if not vectors:
                 continue
             covered += len(mcdc_covered_atoms(point, vectors))
@@ -198,8 +204,9 @@ class CoverageCollector:
     def fork(self) -> "CoverageCollector":
         """Deep copy, for what-if executions that must not pollute this one."""
         clone = CoverageCollector(self._registry)
-        clone._covered_branches = set(self._covered_branches)
-        clone._vectors = {k: set(v) for k, v in self._vectors.items()}
+        clone._covered_branches.update(self._covered_branches)
+        for vectors, seen in zip(clone._vectors, self._vectors):
+            vectors.update(seen)
         clone._atom_values = {k: set(v) for k, v in self._atom_values.items()}
         clone._det_seen = set(self._det_seen)
         return clone

@@ -1,14 +1,14 @@
-"""Ahead-of-time specialization of concrete model execution.
+"""Compiled concrete execution.
 
-The kernel layer compiles a :class:`~repro.model.graph.CompiledModel` into
-per-block closures over pre-resolved input slots and reused buffers — the
-concrete fast path behind ``Simulator(kernel=True)``.  It is observably
-equivalent to the generic interpreter in :mod:`repro.model.executor` (see
-DESIGN.md, "kernel soundness"); symbolic and abstract execution always use
-the interpreter.
+:mod:`repro.kernel.stepgen` renders a compiled model's step template as
+one generated Python function per model — the concrete fast path behind
+``Simulator(kernel=True)``, observably equivalent to the generic
+interpreter in :mod:`repro.model.executor` (see DESIGN.md, "Kernel
+soundness").  :mod:`repro.kernel.exprc` compiles single expression DAGs
+to closures for the solver's objectives and the state guards.
 """
 
 from repro.kernel.exprc import compile_expr
-from repro.kernel.plan import CompiledKernel, compile_kernel
+from repro.kernel.stepgen import generate_step
 
-__all__ = ["CompiledKernel", "compile_expr", "compile_kernel"]
+__all__ = ["compile_expr", "generate_step"]

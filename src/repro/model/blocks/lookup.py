@@ -46,23 +46,27 @@ class Lookup1D(Block):
         return [result]
 
     def _segment_expr(self, vo, u, index: int):
+        v1, b1, slope = self._segment(index)
+        return vo.add(v1, vo.mul(slope, vo.sub(u, b1)))
+
+    def _segment(self, index: int):
+        """``(v1, b1, slope)`` of segment ``index``: its value is
+        ``v1 + slope * (u - b1)`` in both modes."""
         b1 = self.breakpoints[index]
         b2 = self.breakpoints[index + 1]
         v1 = self.values[index]
         v2 = self.values[index + 1]
-        slope = (v2 - v1) / (b2 - b1)
-        return vo.add(v1, vo.mul(slope, vo.sub(u, b1)))
+        return v1, b1, (v2 - v1) / (b2 - b1)
 
     def _interp_concrete(self, u: float) -> float:
+        """The symbolic ITE chain, evaluated: the first segment whose
+        upper breakpoint is ``>= u`` (so ``u == bps[-1]`` takes the last
+        segment), ``values[-1]`` past the table."""
         bps = self.breakpoints
-        values = self.values
         if u <= bps[0]:
-            return values[0]
-        if u >= bps[-1]:
-            return values[-1]
+            return self.values[0]
         for index in range(len(bps) - 1):
             if u <= bps[index + 1]:
-                b1, b2 = bps[index], bps[index + 1]
-                v1, v2 = values[index], values[index + 1]
-                return v1 + (v2 - v1) * (u - b1) / (b2 - b1)
-        return values[-1]
+                v1, b1, slope = self._segment(index)
+                return v1 + slope * (u - b1)
+        return self.values[-1]

@@ -200,8 +200,11 @@ class Fcn(Block):
         if ctx.vo.symbolic:
             from repro.expr import ops as x
 
+            # The concrete path reads each argument as its declared type.
+            convert = {BOOL: x.to_bool, INT: x.to_int, REAL: x.to_real}
             bindings: Dict[str, Expr] = {
-                arg: x.lift(value) for arg, value in zip(self.args, inputs)
+                arg: convert.get(ty, x.lift)(value)
+                for arg, ty, value in zip(self.args, self.arg_types, inputs)
             }
             return [substitute(self.template, bindings)]
         env = dict(zip(self.args, inputs))

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.errors import ModelError
+from repro.expr.types import coerce_value
 from repro.coverage.registry import Branch, CoverageRegistry, DecisionKind
 from repro.model.block import Block, StateElement
 
@@ -316,8 +317,11 @@ class Mux(Block):
             lifted = [x.lift(v) for v in inputs]
             if all(e.is_const for e in lifted):
                 return [tuple(e.const_value() for e in lifted)]
-            # Pack symbolic scalars as a store chain over a zero base array.
-            base = x.lift(tuple([0] * len(lifted)))
+            # Pack symbolic scalars as a store chain over a zero base array
+            # of their common type (int when they differ).
+            types = {e.ty for e in lifted}
+            zero = coerce_value(0, types.pop()) if len(types) == 1 else 0
+            base = x.lift(tuple([zero] * len(lifted)))
             for index, element in enumerate(lifted):
                 base = x.store(base, index, element)
             return [base]

@@ -63,30 +63,6 @@ class StepContext:
         #: Condition obligations newly satisfied this step (concrete mode).
         self.new_obligations: List[object] = []
 
-    def reset_step(
-        self,
-        inputs: Dict[str, object],
-        state_env: Dict[str, object],
-        collector: Optional[CoverageCollector],
-        time_index: int,
-    ) -> None:
-        """Rebind this context for the next step instead of reallocating it.
-
-        Used by the kernel sequence runner (concrete mode only): the caller
-        must have consumed ``next_state`` / ``new_branches`` /
-        ``new_obligations`` before calling this, because they are cleared in
-        place.
-        """
-        self.inputs = inputs
-        self.state_env = state_env
-        self.collector = collector
-        self.time_index = time_index
-        self.active = True
-        self.taken_outcomes.clear()
-        self.next_state.clear()
-        self.new_branches.clear()
-        self.new_obligations.clear()
-
     # -- input / state access ---------------------------------------------------
 
     def input_value(self, name: str):

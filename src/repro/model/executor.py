@@ -18,8 +18,9 @@ def execute_step(compiled: CompiledModel, ctx: StepContext) -> Dict[str, object]
     step template's next state (:meth:`CompiledModel.step_template`).
 
     This is the generic interpreter: it dispatches through ``compute`` /
-    ``update`` on every block.  The concrete-only fast path lives in
-    :mod:`repro.kernel`, which must stay observably equivalent to this loop.
+    ``update`` on every block.  The concrete fast path is the step
+    generated from the step template (:mod:`repro.kernel.stepgen`), which
+    must stay observably equivalent to this loop.
     """
     plan = compiled.plan
     input_slots = compiled.input_slots

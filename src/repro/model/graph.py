@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.errors import CompileError, ModelError
+from repro.errors import CompileError, ExprError, ModelError, SimulationError
 from repro.coverage.registry import Branch, CoverageRegistry
 from repro.expr.ast import Expr, Var
 from repro.expr.ops import lift
@@ -330,6 +330,8 @@ class StepTemplate:
     #: state path -> its value after the step (its own variable where
     #: the step leaves it untouched).
     next_state: Dict[str, Expr]
+    #: outport name -> its value this step.
+    outputs: Dict[str, Expr]
 
 
 @dataclass
@@ -345,8 +347,8 @@ class CompiledModel:
     n_blocks: int
 
     def __post_init__(self) -> None:
-        # Flat slot tables, resolved once per compiled model so the per-step
-        # paths (executor and repro.kernel) never touch id()-keyed dicts.
+        # Flat slot tables, resolved once per compiled model so the
+        # interpreter's per-step path never touches id()-keyed dicts.
         # Derived attributes, not fields: they are per-instance (never shared
         # between two compiles) and stay out of the dataclass eq/repr.
         index_of: Dict[int, int] = {
@@ -367,6 +369,8 @@ class CompiledModel:
             for name, signal in self.outports
         )
         self._step_template: Optional[StepTemplate] = None
+        #: The generated concrete step; ``False`` once it proved unbuildable.
+        self._step_function = None
 
     def step_template(self) -> StepTemplate:
         """The model's :class:`StepTemplate`, built on first use (one
@@ -382,15 +386,44 @@ class CompiledModel:
                 for path, element in self.state_elements.items()
             }
             ctx = symbolic_context(inputs, state)
-            execute_step(self, ctx)
+            outputs = execute_step(self, ctx)
             next_state = {**ctx.state_env, **ctx.next_state}
             template = self._step_template = StepTemplate(
                 frozenset(inputs),
                 ctx.outcome_conditions,
                 ctx.condition_atoms,
                 {path: lift(value) for path, value in next_state.items()},
+                {name: lift(value) for name, value in outputs.items()},
             )
         return template
+
+    def step_function(self):
+        """The concrete step generated from the step template
+        (:func:`repro.kernel.stepgen.generate_step`), built on first use,
+        then kept; ``None`` when the model has none (its template cannot
+        be built, or would not reproduce the interpreter), in which case
+        the model runs through the interpreter.
+        """
+        function = self._step_function
+        if function is None:
+            from repro.kernel.stepgen import generate_step
+
+            try:
+                self.step_template()
+            except (ExprError, ModelError, SimulationError):
+                # Symbolic execution rejects what the interpreter may run.
+                function = None
+            else:
+                function = generate_step(self)
+            self._step_function = function or False
+        return function or None
+
+    @property
+    def has_step_function(self) -> Optional[bool]:
+        """Whether the model runs through a generated step; None until
+        :meth:`step_function` is first called."""
+        function = self._step_function
+        return None if function is None else function is not False
 
     def initial_state(self) -> Dict[str, object]:
         """Fresh state environment with every element at its initial value."""

@@ -5,11 +5,11 @@ steps a compiled model with concrete inputs, reports coverage events into a
 collector, and can jump to any previously captured :class:`ModelState`
 (`Model.setState` in the paper's pseudo-code).
 
-By default steps run through the compiled plan kernel
-(:mod:`repro.kernel`): per-block closures over pre-resolved input slots
-and reused buffers, observably equivalent to the generic interpreter.
-``kernel=False`` forces the interpreter (the reference semantics, and the
-baseline the equivalence suite compares against).
+By default steps run through the model's generated step
+(:mod:`repro.kernel.stepgen`): one Python function rendered from the step
+template on the first step, observably equivalent to the generic
+interpreter.  ``kernel=False`` forces the interpreter (the reference
+semantics, and the baseline the equivalence suite compares against).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import SimulationError, StateError
 from repro.coverage.collector import CoverageCollector
 from repro.expr.types import Type, coerce_value
-from repro.kernel.plan import CompiledKernel
-from repro.model.context import StepContext, concrete_context
+from repro.kernel.stepgen import EVERYTHING, STEP_ERRORS
+from repro.model.context import concrete_context
 from repro.model.executor import execute_step
 from repro.model.graph import CompiledModel
 from repro.model.state import ModelState
@@ -102,14 +102,8 @@ class Simulator:
         self._coercers: Tuple[Tuple[str, Callable], ...] = tuple(
             (spec.name, _input_coercer(spec.ty)) for spec in compiled.inports
         )
-        self._kernel: Optional[CompiledKernel] = (
-            CompiledKernel(compiled) if kernel else None
-        )
-        #: Reusable step context (kernel path only; reset every step).
-        self._ctx: Optional[StepContext] = None
+        self._kernel = kernel
         self._kernel_steps = 0
-        #: Outport values of the last interpreter step (kernel-off path).
-        self._outputs: Dict[str, object] = {}
 
     # -- state management -------------------------------------------------------
 
@@ -142,15 +136,25 @@ class Simulator:
 
     @property
     def kernel_enabled(self) -> bool:
-        return self._kernel is not None
+        return self._kernel
 
     def kernel_stats(self) -> Optional[Dict[str, object]]:
-        """Specialization counts + steps run through the kernel (or None)."""
-        if self._kernel is None:
+        """Plan items the generated step covers or leaves to the
+        interpreter (all of them either way; neither before the first
+        step decides), and steps it ran; None with the kernel off."""
+        if not self._kernel:
             return None
-        stats = self._kernel.stats()
-        stats["kernel_steps"] = self._kernel_steps
-        return stats
+        plan = self.compiled.plan
+        generated = self.compiled.has_step_function
+        fallback = generated is False
+        return {
+            "specialized_blocks": len(plan) if generated else 0,
+            "fallback_blocks": len(plan) if fallback else 0,
+            "fallback_classes": sorted(
+                {type(item.block).__name__ for item in plan} if fallback else ()
+            ),
+            "kernel_steps": self._kernel_steps,
+        }
 
     # -- stepping ----------------------------------------------------------------
 
@@ -162,20 +166,7 @@ class Simulator:
         return self._step(inputs)
 
     def _step(self, inputs: Mapping[str, object]) -> StepResult:
-        ctx = self._execute(self._prepare_inputs(inputs))
-        outputs = (
-            self._kernel.read_outputs()
-            if self._kernel is not None
-            else self._outputs  # set by the interpreter branch of _execute
-        )
-        self._state.update(ctx.next_state)
-        self._time += 1
-        return StepResult(
-            outputs=outputs,
-            new_branch_ids=list(ctx.new_branches),
-            taken_outcomes=dict(ctx.taken_outcomes),
-            new_obligations=list(ctx.new_obligations),
-        )
+        return StepResult(*self._execute(inputs))
 
     def run(self, sequence: Sequence[Mapping[str, object]]) -> List[StepResult]:
         """Execute a whole input sequence; returns per-step results.
@@ -211,25 +202,20 @@ class Simulator:
         obligations = 0
         covering = 0
         for inputs in sequence:
-            prepared = self._prepare_inputs(inputs)
             if traced:
                 with tracer.span("sim_step"):
-                    ctx = self._execute(prepared)
-                    self._state.update(ctx.next_state)
-                    self._time += 1
+                    _, new_branches, _, new_obligations = self._execute(inputs)
             else:
-                ctx = self._execute(prepared)
-                self._state.update(ctx.next_state)
-                self._time += 1
+                _, new_branches, _, new_obligations = self._execute(inputs)
             steps += 1
-            new_branch_ids = tuple(ctx.new_branches)
-            found_new = bool(new_branch_ids) or bool(ctx.new_obligations)
+            new_branch_ids = tuple(new_branches)
+            found_new = bool(new_branch_ids) or bool(new_obligations)
             if found_new:
                 covering = steps
                 collected.extend(new_branch_ids)
-                obligations += len(ctx.new_obligations)
-                if on_obligations is not None and ctx.new_obligations:
-                    on_obligations(steps - 1, list(ctx.new_obligations))
+                obligations += len(new_obligations)
+                if on_obligations is not None and new_obligations:
+                    on_obligations(steps - 1, new_obligations)
             if on_step is not None:
                 on_step(steps - 1, new_branch_ids, found_new)
         return SequenceResult(
@@ -241,24 +227,36 @@ class Simulator:
 
     # -- internals ---------------------------------------------------------------
 
-    def _execute(self, prepared: Dict[str, object]) -> StepContext:
-        """Run one step on prepared inputs; returns the (possibly reused)
-        context carrying coverage events and next-state writes."""
-        kernel = self._kernel
-        if kernel is not None:
-            ctx = self._ctx
-            if ctx is None:
-                ctx = self._ctx = concrete_context(
-                    prepared, self._state, self.collector, self._time
-                )
+    def _execute(self, inputs: Mapping[str, object]):
+        """Run one step on ``inputs`` and advance the state; returns
+        ``(outputs, new_branch_ids, taken_outcomes, new_obligations)``,
+        the fields of a :class:`StepResult`.
+
+        A generated step that raises has changed nothing; the step is
+        then rerun through the interpreter, which raises its own error.
+        """
+        step = self.compiled.step_function() if self._kernel else None
+        if step is not None:
+            collector = self.collector
+            if collector is None:
+                covered = seen = EVERYTHING
             else:
-                ctx.reset_step(prepared, self._state, self.collector, self._time)
-            kernel.run_step(ctx)
-            self._kernel_steps += 1
-            return ctx
+                covered, seen = collector.seen_sets()
+            try:
+                *result, state = step(inputs, self._state, collector, covered, seen)
+            except STEP_ERRORS:
+                pass
+            else:
+                self._state = state
+                self._time += 1
+                self._kernel_steps += 1
+                return result
+        prepared = self._prepare_inputs(inputs)
         ctx = concrete_context(prepared, self._state, self.collector, self._time)
-        self._outputs = execute_step(self.compiled, ctx)
-        return ctx
+        outputs = execute_step(self.compiled, ctx)
+        self._state.update(ctx.next_state)
+        self._time += 1
+        return outputs, ctx.new_branches, ctx.taken_outcomes, ctx.new_obligations
 
     def _prepare_inputs(self, inputs: Mapping[str, object]) -> Dict[str, object]:
         prepared: Dict[str, object] = {}

@@ -77,6 +77,18 @@ class ChartBlock(Block):
                 point = registry.register_condition_point(label, labels, structure)
                 self._points[transition.index] = (point, atoms)
 
+    def evaluation_order(self) -> List[List[Tuple[object, object]]]:
+        """Per leaf location, ``(condition point or None, decision)`` of
+        each transition a concrete step evaluates there, in the order
+        ``_step_concrete`` reports their coverage events."""
+        return [
+            [
+                (self._points.get(t.index, (None,))[0], self._decisions[t.index])
+                for t in self.spec.candidates_for(leaf)
+            ]
+            for leaf in self.spec.leaves
+        ]
+
     # -- execution ---------------------------------------------------------------
 
     def compute(self, ctx, inputs: List[object]) -> List[object]:

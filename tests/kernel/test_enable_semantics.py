@@ -16,6 +16,7 @@ from repro.expr.types import BOOL, INT
 from repro.model import ModelBuilder
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
+from repro.stateflow.spec import ChartSpec
 
 
 def build_if_model():
@@ -60,6 +61,28 @@ def build_nested_model():
     return b.compile()
 
 
+def build_gated_chart_model():
+    """A chart inside an If scope: while the scope is inactive its guards
+    are still evaluated, but it reports no coverage and keeps its state."""
+    chart = ChartSpec("mode")
+    chart.input("x", INT, 0, 9)
+    chart.output("level", INT, 0)
+    low = chart.state("Low", entry=["level = 1"])
+    high = chart.state("High", entry=["level = 2"], during=["level = level + 1"])
+    chart.initial(low)
+    chart.transition(low, high, guard="x > 5 && x < 9", priority=1)
+    chart.transition(high, low, guard="x < 2 || x == 9", priority=1)
+    chart.transition(high, high, guard="x == 7", priority=2)
+    b = ModelBuilder("GatedChart")
+    go = b.inport("go", BOOL)
+    x = b.inport("x", INT, 0, 9)
+    branch = b.if_block([go], has_else=True)
+    with branch.case(0):
+        level = b.sub_output(b.add_chart(chart, {"x": x})["level"], init=-1)
+    b.outport("level", level)
+    return b.compile()
+
+
 def _pair(build):
     left, right = build(), build()
     return (
@@ -68,7 +91,9 @@ def _pair(build):
     )
 
 
-@pytest.mark.parametrize("build", [build_if_model, build_nested_model])
+@pytest.mark.parametrize(
+    "build", [build_if_model, build_nested_model, build_gated_chart_model]
+)
 def test_kernel_matches_interpreter_on_conditional_models(build):
     sim_k, sim_i = _pair(build)
     rng = random.Random(99)
@@ -79,6 +104,7 @@ def test_kernel_matches_interpreter_on_conditional_models(build):
         assert a.outputs == b.outputs
         assert a.new_branch_ids == b.new_branch_ids
         assert a.taken_outcomes == b.taken_outcomes
+        assert a.new_obligations == b.new_obligations
         assert sim_k.get_state().values == sim_i.get_state().values
 
 

@@ -60,12 +60,17 @@ def test_registry_model_bit_identical(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.name)
 def test_registry_models_fully_specialize(model):
-    """No registry model should fall back to the interpreter per block —
-    every block class it uses has a kernel factory."""
-    sim = Simulator(model.build())
+    """No registry model falls back to the interpreter: each has a
+    generated step, and every step runs through it."""
+    compiled = model.build()
+    sim = Simulator(compiled)
+    for inputs in _sequence(compiled, SEED, 5):
+        sim.step(inputs)
     stats = sim.kernel_stats()
     assert stats["fallback_blocks"] == 0, stats["fallback_classes"]
-    assert stats["specialized_blocks"] > 0
+    assert stats["specialized_blocks"] == len(compiled.plan) > 0
+    assert stats["kernel_steps"] == 5
+    assert compiled.step_function() is not None
 
 
 class TestSnapshotRestore:

@@ -8,10 +8,8 @@ import pytest
 from repro.coverage.collector import CoverageCollector
 from repro.errors import SimulationError
 from repro.expr.types import REAL
-from repro.kernel.plan import _forward_raiser
 from repro.model import ModelBuilder
 from repro.model.blocks import MovingAccumulator
-from repro.model.executor import _gather_inputs
 from repro.model.graph import Signal
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
@@ -137,24 +135,33 @@ class TestInputCoercion:
 
 class TestForwardSlotRaiser:
     def test_error_is_identical_to_the_interpreter(self):
-        """With reused buffers a forward slot would silently read stale
-        values; the kernel compiles it to the interpreter's exact error."""
-        compiled = build_counter_model()
-        item = next(i for i in compiled.plan if len(i.input_signals) >= 2)
-        real = compiled.input_slots[item.index]
-        # Second input pretends its producer runs after the consumer.
-        slots = (real[0], (len(compiled.plan), real[1][1])) + real[2:]
-
-        outputs_per_item = [[0] for _ in compiled.plan] + [None, None]
-        with pytest.raises(SimulationError) as interpreted:
-            _gather_inputs(item, outputs_per_item, slots)
-        with pytest.raises(SimulationError) as compiled_error:
-            _forward_raiser(item, slots)(None)
-        assert str(compiled_error.value) == str(interpreted.value)
+        """A block that reads a signal produced later in the plan has no
+        step template; every kernel step raises the interpreter's exact
+        error, and the model is reported as running on the interpreter."""
+        b = ModelBuilder("Forward")
+        u = b.inport("u", REAL, -5.0, 5.0)
+        doubled = b.gain(u, 2.0)
+        lag = b.unit_delay(doubled, init=0.0, name="lag")
+        b.model.add_ordering(lag.block, doubled.block)
+        b.outport("lag", lag)
+        sim_k = Simulator(b.compile(), kernel=True)
+        sim_i = Simulator(sim_k.compiled, kernel=False)
+        for _ in range(2):
+            with pytest.raises(SimulationError) as interpreted:
+                sim_i.step({"u": 1.0})
+            with pytest.raises(SimulationError) as compiled_error:
+                sim_k.step({"u": 1.0})
+            assert str(compiled_error.value) == str(interpreted.value)
         assert "before it ran" in str(compiled_error.value)
+        stats = sim_k.kernel_stats()
+        assert stats["fallback_blocks"] == len(sim_k.compiled.plan)
+        assert stats["specialized_blocks"] == stats["kernel_steps"] == 0
 
 
 class TestFallbackBlocks:
+    """A block with tuple state, which no kernel code names: the
+    generated step runs it from its symbolic semantics."""
+
     def _build(self):
         b = ModelBuilder("Window")
         u = b.inport("u", REAL, -5.0, 5.0)
@@ -166,11 +173,16 @@ class TestFallbackBlocks:
         b.outport("total", total)
         return b.compile()
 
-    def test_unregistered_block_runs_through_fallback(self):
-        sim = Simulator(self._build())
+    def test_unregistered_block_runs_in_the_generated_step(self):
+        compiled = self._build()
+        sim = Simulator(compiled)
+        for inputs in _sequence(compiled, 13, 3):
+            sim.step(inputs)
         stats = sim.kernel_stats()
-        assert stats["fallback_blocks"] == 1
-        assert stats["fallback_classes"] == ["MovingAccumulator"]
+        assert stats["fallback_blocks"] == 0
+        assert stats["fallback_classes"] == []
+        assert stats["specialized_blocks"] == len(compiled.plan)
+        assert stats["kernel_steps"] == 3
 
     def test_fallback_is_bit_identical_to_the_interpreter(self):
         compiled = self._build()

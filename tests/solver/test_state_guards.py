@@ -260,10 +260,26 @@ def test_building_a_generator_does_not_build_the_template(make):
     assert compiled._step_template is None
 
 
-def test_fuzz_run_never_builds_the_template():
+def test_fuzz_run_builds_the_template_once_on_its_first_step(monkeypatch):
+    """The generated concrete step is rendered from the template, so a
+    Fuzz run builds the template exactly once, during its first step."""
+    import repro.model.context as context_module
+
     compiled = get_benchmark("AFC").build()
-    FuzzGenerator(compiled, _config(), FakeClock()).run()
+    generator = FuzzGenerator(compiled, _config(), FakeClock())
+    simulator = generator._host.simulator
+    steps_at_build = []
+
+    def spy(*args, **kwargs):
+        steps_at_build.append(simulator.kernel_stats()["kernel_steps"])
+        return symbolic_context(*args, **kwargs)
+
+    monkeypatch.setattr(context_module, "symbolic_context", spy)
     assert compiled._step_template is None
+    generator.run()
+    assert steps_at_build == [0]
+    assert compiled._step_template is not None
+    assert simulator.kernel_stats()["kernel_steps"] > 0
 
 
 def test_template_is_built_once_per_model():
