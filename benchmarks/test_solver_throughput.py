@@ -19,7 +19,9 @@ solves/second, kernel on vs off, on three cells:
   TCP, at SLDV's own solver budgets.  SLDV solves each constraint once,
   so the kernel pass compiles every bundle inside the timed pass; these
   are the big shared DAGs where the compiled objective's per-call memo
-  matters.
+  matters, and an objective that reaches 256 evaluations runs as its
+  generated straight-line function from then on
+  (``repro.solverc.compiler.HOT_EVALUATIONS``).
 
 Two guarantees are asserted, matching the issue's acceptance bar:
 

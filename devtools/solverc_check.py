@@ -1,20 +1,44 @@
 """Dev harness: solverc equivalence + micro throughput comparison.
 
-Not part of the test suite — run manually:
+For every registry model it checks that
+
+* compiled solves equal interpreted solves on the model's one-step
+  constraints, and
+* the generated distance objective (``solverc.distc.generate_distance``)
+  returns, bit for bit, what the closure and ``DistanceEvaluator``
+  return (or raises what they raise), on the one-step constraints and on
+  the depth-3 SLDV unrollings, whole constraints and split cases.  It
+  prints the per-call time of each of the three.
+
+Not part of the test suite — run manually; exits 1 on any mismatch:
     PYTHONPATH=src python devtools/solverc_check.py [model ...]
 """
 
 import random
+import struct
 import sys
 import time
 
+from repro.baselines.sldv import _IncrementalUnroll
 from repro.coverage.collector import CoverageCollector
+from repro.expr.ast import Const
+from repro.expr.distance import DistanceEvaluator
+from repro.expr.nnf import to_nnf
 from repro.model.inputs import random_input
 from repro.model.simulator import Simulator
 from repro.models.registry import BENCHMARKS, SIMPLE_CPUTASK
+from repro.solver.box import Box
 from repro.solver.encoder import OneStepEncoding
 from repro.solver.engine import SolverConfig, SolverEngine
+from repro.solver.sampler import sample_point
+from repro.solver.splitter import split_cases
 from repro.solverc import ConstraintCompiler
+from repro.solverc.distc import compile_distance_scalar, generate_distance
+
+#: Unroll depth of the SLDV constraints the objectives are checked on.
+SLDV_DEPTH = 3
+#: Random points each objective is evaluated at.
+POINTS = 40
 
 
 def gather_constraints(model, steps=40, seed=11):
@@ -101,6 +125,81 @@ def check_model(model):
     return not mismatches and not warm_mismatch
 
 
+def sldv_constraints(model, depth=SLDV_DEPTH):
+    """(constraint, variables) of every branch at every step of the
+    model's depth-``depth`` SLDV unrolling."""
+    compiled = model.build()
+    unroll = _IncrementalUnroll(compiled)
+    problems = []
+    for step in range(depth):
+        unroll.extend()
+        for branch in compiled.registry.branches:
+            constraint = unroll.path_constraint(branch, step)
+            if not isinstance(constraint, Const):
+                problems.append((constraint, list(unroll.variables)))
+    return problems
+
+
+def _outcome(function, env):
+    """A distance's bits, or the exception it raised."""
+    try:
+        return struct.pack("<d", function(env))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _timed(function, envs):
+    start = time.perf_counter()
+    for env in envs:
+        try:
+            function(env)
+        except Exception:
+            pass
+    return time.perf_counter() - start
+
+
+def check_objectives(label, problems, seed=5):
+    """Generated objective vs closure vs interpreter on every constraint
+    of ``problems`` and each of its split cases."""
+    rng = random.Random(seed)
+    seconds = {"generated": 0.0, "closure": 0.0, "interpreter": 0.0}
+    calls = mismatches = objectives = 0
+    for constraint, variables in problems:
+        nnf = to_nnf(constraint)
+        cases = split_cases(nnf)
+        box = Box(list({var.name: var for var in variables}.values()))
+        envs = [sample_point(box, rng) for _ in range(POINTS)]
+        for case in [nnf] + (cases if len(cases) > 1 else []):
+            case_nnf = to_nnf(case)
+            closure = compile_distance_scalar(case_nnf)
+            functions = {
+                "generated": generate_distance(case_nnf, closure),
+                "closure": closure,
+                "interpreter": DistanceEvaluator(case_nnf).distance,
+            }
+            objectives += 1
+            calls += len(envs)
+            for env in envs:
+                outcomes = {
+                    _outcome(function, env) for function in functions.values()
+                }
+                if len(outcomes) > 1:
+                    mismatches += 1
+                    if mismatches <= 3:
+                        print("   MISMATCH", label, outcomes)
+            for name, function in functions.items():
+                seconds[name] += _timed(function, envs)
+    per_call = " ".join(
+        f"{name}={seconds[name] / max(calls, 1) * 1e6:7.2f}us"
+        for name in seconds
+    )
+    print(
+        f"{label:22s} objectives={objectives:4d} calls={calls:6d} "
+        f"{per_call} mismatches={mismatches}"
+    )
+    return not mismatches
+
+
 def main():
     names = set(sys.argv[1:])
     models = list(BENCHMARKS) + [SIMPLE_CPUTASK]
@@ -109,6 +208,13 @@ def main():
     ok = True
     for model in models:
         ok = check_model(model) and ok
+    for model in models:
+        ok = check_objectives(
+            f"{model.name} one-step", gather_constraints(model)
+        ) and ok
+        ok = check_objectives(
+            f"{model.name} sldv{SLDV_DEPTH}", sldv_constraints(model)
+        ) and ok
     print("OK" if ok else "FAILED")
     return 0 if ok else 1
 

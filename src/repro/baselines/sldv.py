@@ -169,7 +169,12 @@ class SldvGenerator:
         start = self._clock()
         tracer = self.tracer
         ledger = self.ledger
-        simulator = Simulator(self.compiled, self.collector, tracer=tracer)
+        # Replays run a few dozen steps per model: fewer than it takes to
+        # repay generating the model's compiled step, so they stay on the
+        # interpreter.
+        simulator = Simulator(
+            self.compiled, self.collector, tracer=tracer, kernel=False
+        )
         unroll = _IncrementalUnroll(self.compiled)
         on_step = on_obligations = None
         if ledger.enabled:

@@ -40,6 +40,12 @@ and every next-state expression has its element's type.  Otherwise (an
 ``Ite`` over arms of two types, ``min`` of an int and a real, a real
 stored into an int array, ...) :func:`generate_step` returns None and
 the model runs through the interpreter.
+
+The expression renderer, :class:`Emitter`, serves two callers: this
+step, and the solver's generated distance objectives
+(:func:`repro.solverc.distc.generate_distance`).  For the latter it
+reads variables from an ``env`` mapping and converts nodes exactly where
+:mod:`repro.kernel.exprc` does instead of refusing them.
 """
 
 from __future__ import annotations
@@ -133,6 +139,19 @@ def _store(array, index, value):
     return tuple(array)
 
 
+#: The helpers an :class:`Emitter`'s lines call, by the names it renders.
+RUNTIME: Dict[str, object] = {
+    "_floor": math.floor,
+    "_ceil": math.ceil,
+    "_div": real_div,
+    "_idiv": c_idiv,
+    "_mod": c_mod,
+    "_select": _select,
+    "_store": _store,
+    "_coerce": coerce_value,
+}
+
+
 def _missing():
     raise SimulationError("missing input")
 
@@ -171,17 +190,33 @@ class _Everything:
 EVERYTHING = _Everything()
 
 
-class _Emitter:
-    """Renders template expressions into the lines of one function."""
+class Emitter:
+    """Renders expressions into the lines of one function.
 
-    def __init__(self, roots: List[Expr], names: Dict[str, str]):
+    It serves two callers.  :func:`generate_step` passes ``names``, the
+    locals that hold the step's inports and state; every node's Python
+    value must then already be canonical for the node's type, and a node
+    that is not raises ``_NoStep`` (module docstring).  The solver's
+    generated distance objectives (:mod:`repro.solverc.distc`) pass no
+    ``names``: each variable is then read from ``env`` into a local,
+    converted as :mod:`repro.kernel.exprc` converts it, and every other
+    node is converted where ``exprc`` converts it (a unary, a non-lazy
+    binary, each ``Ite`` arm) unless its value is provably canonical for
+    its type.  A ``Select`` or ``Store`` is never converted, as in
+    ``exprc``; its value is canonical only when its array is and, for a
+    ``Store``, its value has the element type.
+    """
+
+    def __init__(self, roots: List[Expr], names: Optional[Dict[str, str]] = None):
         #: node id -> the first node of equal structure (its representative)
         self._rep: Dict[int, Expr] = {}
-        #: representative id -> (Python source, nesting depth)
-        self._done: Dict[int, Tuple[str, int]] = {}
+        #: representative id -> (Python source, nesting depth, the type its
+        #: value is canonical for or None)
+        self._done: Dict[int, Tuple[str, int, Optional[Type]]] = {}
         self.lines: List[str] = []
         self.constants: Dict[str, object] = {}
         self._names = names
+        self._converting = names is None
         self._temps = 0
         self._shared = self._intern(roots)
 
@@ -203,7 +238,7 @@ class _Emitter:
             if isinstance(node, Const):
                 key: tuple = ("const", repr(node.ty), repr(node.value))
             elif isinstance(node, Var):
-                key = ("var", node.name)
+                key = ("var", node.name, repr(node.ty))
             else:
                 ids = tuple(id(rep[id(child)]) for child in node.children)
                 key = (type(node), getattr(node, "op", None), repr(node.ty), ids)
@@ -237,32 +272,57 @@ class _Emitter:
             self._render(node)
         return done[id(rep[id(root)])][0]
 
+    def kind(self, expr: Expr) -> Optional[Type]:
+        """The type a rendered node's value is canonical for (None:
+        none)."""
+        return self._done[id(self._rep[id(expr)])][2]
+
     def boolean(self, root: Expr) -> str:
         text = self.source(root)
         return text if root.ty is BOOL else f"bool({text})"
 
     def _render(self, node: Expr) -> None:
         if isinstance(node, Const):
-            self._done[id(node)] = (self._constant(node.value), 0)
+            self._done[id(node)] = (self._constant(node.value), 0, node.ty)
             return
         if isinstance(node, Var):
-            self._done[id(node)] = (self._names[node.name], 0)
+            if self._converting:
+                name = f"n{len(self.lines)}"
+                value = self.convert(f"env[{node.name!r}]", node.ty)
+                self.lines.append(f"{name} = {value}")
+            else:
+                name = self._names[node.name]
+            self._done[id(node)] = (name, 0, node.ty)
             return
         children = [self._done[id(self._rep[id(child)])] for child in node.children]
-        text, kind = self._expression(node, [text for text, _ in children])
-        if kind != node.ty:
-            raise _NoStep(f"{node.ty!r} node whose value is {kind!r}")
-        depth = 1 + max(depth for _, depth in children)
+        sources = [text for text, _, _ in children]
+        kinds = [kind for _, _, kind in children]
+        text, kind = self._expression(node, sources, kinds)
+        if kind != node.ty and not (
+            self._converting and isinstance(node, (Select, Store))
+        ):
+            text, kind = self._canonical(text, kind, node.ty), node.ty
+        depth = 1 + max(depth for _, depth, _ in children)
         if id(node) in self._shared or depth > _MAX_INLINE_DEPTH:
             name = f"n{len(self.lines)}"
             self.lines.append(f"{name} = {text}")
             text, depth = name, 0
-        self._done[id(node)] = (text, depth)
+        self._done[id(node)] = (text, depth, kind)
 
-    def _expression(self, node: Expr, sources) -> Tuple[str, Optional[Type]]:
+    def _canonical(self, text: str, kind: Optional[Type], ty: Type) -> str:
+        """``text``, whose value is canonical for ``kind``, as a value
+        canonical for ``ty``: unchanged when the two agree, else
+        converted (refused when not converting)."""
+        if kind == ty:
+            return text
+        if not self._converting:
+            raise _NoStep(f"{ty!r} node whose value is {kind!r}")
+        return self.convert(text, ty)
+
+    def _expression(self, node: Expr, sources, kinds) -> Tuple[str, Optional[Type]]:
         """Source for ``node`` over its children's sources, and the type
-        its Python value is canonical for (None: none)."""
-        kinds = [child.ty for child in node.children]
+        its Python value is canonical for (None: none), given the types
+        its children's values are canonical for."""
         if isinstance(node, Unary):
             (kind,) = kinds
             text = _UNARY[node.op].format(*sources)
@@ -273,17 +333,21 @@ class _Emitter:
             return self._binary(node.op, sources, kinds)
         if isinstance(node, Ite):
             cond, then, orelse = sources
-            kind = kinds[1] if kinds[1] == kinds[2] else None
-            return f"({then} if {cond} else {orelse})", kind
+            then = self._canonical(then, kinds[1], node.ty)
+            orelse = self._canonical(orelse, kinds[2], node.ty)
+            return f"({then} if {cond} else {orelse})", node.ty
         if isinstance(node, Select):
+            array = kinds[0]
+            kind = array.elem if array is not None else None
             index = node.index
             length = node.array.ty.length
             if isinstance(index, Const) and 0 <= int(index.value) < length:
-                return f"{sources[0]}[{int(index.value)}]", kinds[0].elem
-            return f"_select({sources[0]}, {sources[1]})", kinds[0].elem
+                return f"{sources[0]}[{int(index.value)}]", kind
+            return f"_select({sources[0]}, {sources[1]})", kind
         if isinstance(node, Store):
             text = f"_store({sources[0]}, {sources[1]}, {sources[2]})"
-            return text, kinds[0] if kinds[0].elem == kinds[2] else None
+            exact = kinds[0] == node.ty and kinds[2] == node.ty.elem
+            return text, node.ty if exact else None
         raise ExprError(f"cannot generate code for {type(node).__name__}")
 
     def _binary(self, op: str, sources, kinds) -> Tuple[str, Optional[Type]]:
@@ -307,7 +371,7 @@ class _Emitter:
             return f"(bool({left}) != bool({right}))", BOOL
         if op in (ast.MIN, ast.MAX):
             kind = kinds[0] if kinds[0] == kinds[1] else None
-            return self._pick(left, right, "<" if op == ast.MIN else ">"), kind
+            return self.pick(left, right, "<" if op == ast.MIN else ">"), kind
         text = _BINARY[op].format(left, right)
         if op in ast.REL_OPS:
             return text, BOOL
@@ -315,9 +379,11 @@ class _Emitter:
             return text, REAL
         if op in (ast.IDIV, ast.MOD):
             return text, INT
+        if None in kinds:
+            return text, None
         return text, REAL if REAL in kinds else INT
 
-    def _pick(self, left: str, right: str, relation: str) -> str:
+    def pick(self, left: str, right: str, relation: str) -> str:
         """``min``/``max`` without the call: ``right`` if ``right
         <relation> left`` else ``left``, as the builtins choose.  An
         operand that is not a name or literal is bound to a temporary,
@@ -407,7 +473,7 @@ def _render_step(compiled: CompiledModel) -> Tuple[str, Dict[str, object]]:
         roots += atoms
         roots.append(context)
     names: Dict[str, str] = {}
-    emitter = _Emitter(roots, names)
+    emitter = Emitter(roots, names)
     lines = emitter.lines
     prologue: List[str] = []
     for index, spec in enumerate(compiled.inports):
@@ -498,19 +564,12 @@ def _render_step(compiled: CompiledModel) -> Tuple[str, Dict[str, object]]:
     header = "def step(inputs, state, collector, covered, seen):\n"
     source = header + "".join(f"    {line}\n" for line in body)
     namespace: Dict[str, object] = {
-        "_floor": math.floor,
-        "_ceil": math.ceil,
-        "_div": real_div,
-        "_idiv": c_idiv,
-        "_mod": c_mod,
-        "_select": _select,
-        "_store": _store,
-        "_coerce": coerce_value,
+        **RUNTIME,
+        **emitter.constants,
         "_missing": _missing,
         "BR": compiled.registry.branches,
         "PT": compiled.registry.condition_points,
     }
-    namespace.update(emitter.constants)
     return source, namespace
 
 

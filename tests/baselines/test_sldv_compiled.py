@@ -91,3 +91,6 @@ def test_compile_traffic_is_traced():
     assert solverc["constraints_compiled"] == result.stats["solver_calls"] > 0
     assert solverc["avm_compiled"] > 0
     assert solverc["compile_fallbacks"] == 0
+    # Hot objectives swap to their generated functions.
+    assert solverc["objectives_generated"] > 0
+    assert solverc["generate_fallbacks"] == 0

@@ -4,7 +4,8 @@
 never what any tool produces.  Fixed-seed STCG runs must be bit-identical
 with the kernel on or off, the baselines must be equally unaffected, and
 symbolic execution (the SLDV unroller, STCG's encodings) never touches the
-kernel.  "Off" patches each tool module's ``Simulator`` to ``kernel=False``.
+kernel.  "Off" patches each tool module's ``Simulator`` to ``kernel=False``;
+SLDV replays on the interpreter, and "on" patches it to ``kernel=True``.
 """
 
 import pytest
@@ -18,13 +19,14 @@ from tests.conftest import build_counter_model, build_queue_model
 from tests.core.test_stcg_cache import assert_identical
 
 
-def force_interpreter(monkeypatch, module):
-    """Make ``module``'s ``Simulator`` always run the reference interpreter."""
+def force_kernel(monkeypatch, module, kernel):
+    """Make ``module``'s ``Simulator`` always run with ``kernel``: the
+    generated step when True, the reference interpreter when False."""
     original = module.Simulator
     monkeypatch.setattr(
         module,
         "Simulator",
-        lambda *args, **kwargs: original(*args, **{**kwargs, "kernel": False}),
+        lambda *args, **kwargs: original(*args, **{**kwargs, "kernel": kernel}),
     )
 
 
@@ -32,7 +34,7 @@ def force_interpreter(monkeypatch, module):
 def test_stcg_bit_identical_kernel_on_vs_off(build, monkeypatch):
     config = StcgConfig(budget_s=10.0, seed=7)
     on = StcgGenerator(build(), config).run()
-    force_interpreter(monkeypatch, stcg_module)
+    force_kernel(monkeypatch, stcg_module, False)
     generator = StcgGenerator(build(), config)
     off = generator.run()
     assert generator.simulator.kernel_stats() is None
@@ -44,7 +46,7 @@ def test_simcotest_replay_identical_kernel_on_vs_off(monkeypatch):
 
     def run(interpreter):
         if interpreter:
-            force_interpreter(monkeypatch, module)
+            force_kernel(monkeypatch, module, False)
         result = SimCoTestGenerator(
             build_counter_model(), SimCoTestConfig(budget_s=5.0, seed=3)
         ).run()
@@ -54,22 +56,22 @@ def test_simcotest_replay_identical_kernel_on_vs_off(monkeypatch):
     assert_identical(run(False), run(True))
 
 
-def test_sldv_symbolic_path_untouched_by_kernel(monkeypatch):
-    """SLDV's unroller is symbolic (interpreter-only by construction); the
-    kernel only accelerates counterexample replay, so results must be
-    identical either way."""
+def test_sldv_replays_on_the_interpreter(monkeypatch):
+    """SLDV replays a few dozen steps per model, too few to repay a
+    generated step: a run never builds one, and its suite is the one a
+    replay through the generated step gives."""
     import repro.baselines.sldv as module
 
-    def run(interpreter):
-        if interpreter:
-            force_interpreter(monkeypatch, module)
-        result = SldvGenerator(
-            build_counter_model(), SldvConfig(budget_s=5.0, seed=3, max_depth=3)
-        ).run()
-        monkeypatch.undo()
-        return result
+    config = SldvConfig(budget_s=5.0, seed=3, max_depth=3)
+    compiled = build_counter_model()
+    interpreted = SldvGenerator(compiled, config).run()
+    assert compiled.has_step_function is None
 
-    assert_identical(run(False), run(True))
+    force_kernel(monkeypatch, module, True)
+    compiled = build_counter_model()
+    generated = SldvGenerator(compiled, config).run()
+    assert compiled.has_step_function is True
+    assert_identical(interpreted, generated)
 
 
 class TestKernelTraceData:
@@ -85,7 +87,7 @@ class TestKernelTraceData:
         assert kernel["kernel_steps"] > 0
 
     def test_kernel_off_is_reported_as_disabled(self, monkeypatch):
-        force_interpreter(monkeypatch, stcg_module)
+        force_kernel(monkeypatch, stcg_module, False)
         result = StcgGenerator(
             build_counter_model(),
             StcgConfig(budget_s=5.0, seed=1, trace=True),

@@ -1,21 +1,22 @@
 """Exactness of the compiled distance objectives against the interpreter.
 
 The solver kernel's contract is bit-exactness: the scalar closures — of
-a whole constraint and of each of its split cases — must produce the
-same float the :class:`~repro.expr.distance.DistanceEvaluator` produces,
-including the failure-distance behaviour on evaluation errors.
-Hypothesis drives the comparison over randomized constraints and
-randomized candidate points.
+a whole constraint and of each of its split cases — and the generated
+functions they swap to once hot must produce the same float the
+:class:`~repro.expr.distance.DistanceEvaluator` produces, including the
+failure-distance behaviour on evaluation errors.  Hypothesis drives the
+comparison over randomized constraints and randomized candidate points.
 """
 
 import random
+import struct
 from collections import Counter
 from collections.abc import Mapping
 
 from hypothesis import given, settings, strategies as st
 
 from repro.expr import ast, ops as x
-from repro.expr.ast import Binary, Var
+from repro.expr.ast import Binary, Ite, Var
 from repro.expr.distance import DistanceEvaluator
 from repro.expr.evaluator import evaluate
 from repro.expr.nnf import to_nnf
@@ -24,8 +25,8 @@ from repro.kernel import compile_expr, exprc
 from repro.solver.engine import SolverConfig, SolverEngine
 from repro.solver.splitter import split_cases
 from repro.solverc import compiler as compiler_module
-from repro.solverc.compiler import ConstraintCompiler
-from repro.solverc.distc import compile_distance_scalar
+from repro.solverc.compiler import HOT_EVALUATIONS, ConstraintCompiler
+from repro.solverc.distc import compile_distance_scalar, generate_distance
 
 I = Var("i", INT, -100, 100)
 J = Var("j", INT, -100, 100)
@@ -283,3 +284,168 @@ class TestSharedErrors:
             assert _outcome(lambda: value(env)) == _outcome(
                 lambda: evaluate(constraint, env)
             )
+
+
+# -- generated objectives ----------------------------------------------------
+
+#: A real stored into an int array, read back: the Select's value is the
+#: real, and an int-typed consumer converts it.
+_STORED = x.select(x.store(A, x.mod(I, 3), R), x.mod(I, 3))
+#: Raises OverflowError when j == 0 and i != 0; shared, so the generated
+#: function computes it eagerly, also where only an unselected arm uses it.
+_QUOTIENT_GUARDED = (
+    x.ite(x.ne(J, 0), _QUOTIENT, 0),
+    x.ite(x.eq(J, 0), 1, x.neg(_QUOTIENT)),
+)
+#: Raises EvalError unless 0 <= i <= 2; shared the same way.
+_ELEMENT_GUARDED = (
+    x.ite(x.land(x.ge(I, 0), x.le(I, 2)), x.select(A, I), 7),
+    x.ite(x.lt(I, 0), 0, x.ite(x.gt(I, 2), 1, x.select(A, I))),
+)
+
+_MIXED_OPERANDS = (
+    I,
+    R,
+    # Ite arms of two types, under a real and under an int Ite.
+    x.ite(B, I, R),
+    Ite(x.lt(I, J), R, I, INT),
+    # min/max over an int and a real, real- and int-typed.
+    x.minimum(I, R),
+    x.maximum(R, I),
+    Binary(ast.MAX, I, R, INT),
+    x.add(_STORED, I),
+    x.mul(_STORED, 2),
+    _STORED,
+    x.mul(I, I),
+) + _QUOTIENT_GUARDED + _ELEMENT_GUARDED
+
+
+@st.composite
+def mixed_atoms(draw):
+    if draw(st.integers(0, 5)) == 0:
+        # Atoms over bools: the metric compares the operands as 0.0/1.0.
+        other = draw(st.sampled_from([x.lt(I, J), x.gt(R, 0.5), I]))
+        return Binary(draw(st.sampled_from(sorted(ast.REL_OPS))), B, other, BOOL)
+    build = draw(st.sampled_from(_ATOM_BUILDERS))
+    right = draw(
+        st.one_of(
+            st.sampled_from(_MIXED_OPERANDS),
+            st.integers(-5, 5),
+            st.floats(-5.0, 5.0, allow_nan=False),
+        )
+    )
+    return build(draw(st.sampled_from(_MIXED_OPERANDS)), right)
+
+
+@st.composite
+def mixed_constraints(draw):
+    expr = draw(mixed_atoms())
+    for _ in range(draw(st.integers(0, 4))):
+        combine = draw(st.sampled_from([x.land, x.lor]))
+        expr = combine(expr, draw(mixed_atoms()))
+    return expr
+
+
+mixed_environments = st.fixed_dictionaries({
+    # 10**200 squares to an int too large for a float: ``_finite``
+    # raises OverflowError out of every objective.
+    "i": st.one_of(st.integers(-4, 4), st.just(10**200)),
+    "j": st.sampled_from([0, 0, 1, -2]),
+    "r": st.floats(-6.0, 6.0, allow_nan=False),
+    "b": st.booleans(),
+    "a": st.just((10, -20, 30)),
+})
+
+
+def _bits(function, env):
+    """The distance's bits, or the error it raised."""
+    try:
+        return "value", struct.pack("<d", function(env))
+    except Exception as exc:
+        return "error", type(exc), str(exc)
+
+
+def _generated(nnf):
+    """The generated objective of ``nnf``, its closure, and the list of
+    the environments it handed to the closure."""
+    closure = compile_distance_scalar(nnf)
+    fallbacks = []
+
+    def recording(env):
+        fallbacks.append(env)
+        return closure(env)
+
+    return generate_distance(nnf, recording), closure, fallbacks
+
+
+class TestGeneratedObjectives:
+    @given(constraint=mixed_constraints(), envs=st.lists(mixed_environments,
+                                                          min_size=1,
+                                                          max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_matches_closure_and_interpreter(self, constraint, envs):
+        """Whole constraints and split cases: the generated function, the
+        closure and the interpreter return the same bits or raise the
+        same error."""
+        nnf = to_nnf(constraint)
+        for case in [nnf] + [to_nnf(case) for case in split_cases(nnf)]:
+            generated, closure, _ = _generated(case)
+            reference = DistanceEvaluator(case).distance
+            for env in envs:
+                expected = _bits(reference, env)
+                assert _bits(closure, env) == expected
+                assert _bits(generated, env) == expected
+
+    def test_an_error_in_an_unselected_arm_falls_back(self):
+        """The eagerly computed shared node raises where the closure never
+        evaluates it; the result is the closure's, through the fallback."""
+        for guarded, env in (
+            (_QUOTIENT_GUARDED, {"i": 3, "j": 0}),
+            (_ELEMENT_GUARDED, {"i": 5, "a": (10, -20, 30)}),
+        ):
+            nnf = to_nnf(x.lt(*guarded))
+            generated, closure, fallbacks = _generated(nnf)
+            reference = DistanceEvaluator(nnf).distance(env)
+            assert closure(env) == reference
+            assert generated(env) == reference
+            assert fallbacks == [env]
+
+    def test_finite_overflow_escapes_every_objective(self):
+        nnf = to_nnf(x.gt(x.mul(I, I), 0))
+        generated, closure, fallbacks = _generated(nnf)
+        env = {"i": 10**200}
+        for function in (generated, closure, DistanceEvaluator(nnf).distance):
+            assert _bits(function, env)[:2] == ("error", OverflowError)
+        assert fallbacks == [env]
+
+
+class TestObjectiveTiering:
+    def test_objective_swaps_once_hot(self):
+        """The closure serves the first HOT_EVALUATIONS - 1 calls; the
+        generated function, counted once, serves the rest."""
+        constraint = x.lor(x.eq(x.add(I, J), 7), x.gt(R, 1.5))
+        compiler = ConstraintCompiler()
+        objective = compiler.compile(constraint).objective()
+        reference = DistanceEvaluator(to_nnf(constraint))
+        rng = random.Random(0)
+        for call in range(1, HOT_EVALUATIONS + 10):
+            env = {"i": rng.randint(-9, 9), "j": rng.randint(-9, 9),
+                   "r": rng.uniform(-3.0, 3.0)}
+            assert objective(env) == reference.distance(env)
+            generated = call >= HOT_EVALUATIONS
+            assert compiler.stats.counts["objectives_generated"] == generated
+        assert compiler.stats.counts["generate_fallbacks"] == 0
+
+    def test_generation_failure_keeps_the_closure(self, monkeypatch):
+        def broken(nnf, closure):
+            raise SyntaxError("too many statically nested blocks")
+
+        monkeypatch.setattr(compiler_module, "generate_distance", broken)
+        compiler = ConstraintCompiler()
+        objective = compiler.compile(x.gt(I, 3)).objective()
+        for i in range(HOT_EVALUATIONS + 5):
+            assert objective({"i": i}) == DistanceEvaluator(
+                to_nnf(x.gt(I, 3))
+            ).distance({"i": i})
+        assert compiler.stats.counts["generate_fallbacks"] == 1
+        assert compiler.stats.counts["objectives_generated"] == 0
